@@ -240,6 +240,9 @@ class MetricModel:
                 raise DataError("non-finite user weight")
             if np.any(self.user_weights < 0.0):
                 raise DataError("negative user weight")
+        self._user_rows = {}  # user id -> first row holding it
+        for row, user in enumerate(self.user_ids or ()):
+            self._user_rows.setdefault(user, row)
 
     @property
     def n_features(self) -> int:
@@ -255,9 +258,11 @@ class MetricModel:
         return self.metadata.get("feature_norm", "none")
 
     def user_index(self, user_id: str) -> int:
+        if not self.user_ids:
+            return -1
         try:
-            return self.user_ids.index(user_id) if self.user_ids else -1
-        except ValueError:
+            return self._user_rows[user_id]
+        except KeyError:
             raise DataError(f"unknown user id: {user_id!r}") from None
 
     def __eq__(self, other) -> bool:

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-One executable with subcommands, sharing seed/thread/manifest plumbing:
+One executable with subcommands, sharing seed/manifest plumbing:
 data preparation (synth, sample, split), fitting (train, train-personalized),
 measurement (eval), and style-space applications (embed, cluster, navigate,
 recommend, build-outfit, score-outfit, makeover-delta).
@@ -30,9 +30,6 @@ from .stylespace import (embed_all, kmeans, navigate, representatives,
                          save_clustering, save_embedding, save_path)
 from .synthetic import MODES, SynthConfig, generate
 from .training import (TrainConfig, TrainingError, train, train_personalized)
-
-RELATION_CLASS_CHOICES = ("also_viewed", "buy_after_viewing", "also_bought",
-                          "bought_together")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,6 +89,16 @@ def _ensure_out(args):
     return args.out
 
 
+def _write_optional(args, name, text):
+    """Write text to <out>/name when --out was given; returns the paths written."""
+    if not args.out:
+        return []
+    path = os.path.join(_ensure_out(args), name)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+    return [path]
+
+
 def _read_id_list(path):
     items = []
     with open(path, "r", encoding="utf-8") as f:
@@ -118,8 +125,6 @@ def _train_config_from_args(args) -> TrainConfig:
         if value is not None:
             overrides[field] = value
     overrides["seed"] = args.seed
-    overrides["threads"] = args.threads
-    overrides["deterministic"] = args.deterministic
     config = replace(config, **overrides)
     config.validate()
     return config
@@ -260,21 +265,11 @@ def _cmd_eval(args):
     report = evaluate(model, features, pairs)
     if args.format == "tsv":
         print(report.tsv_line())
+        name, text = "eval_report.tsv", EVAL_TSV_HEADER + "\n" + report.tsv_line() + "\n"
     else:
         print(report.text_block(), end="")
-    inputs = [args.features, args.pairs, args.model]
-    outputs = []
-    if args.out:
-        out = _ensure_out(args)
-        path = os.path.join(out, "eval_report.tsv" if args.format == "tsv"
-                            else "eval_report.txt")
-        with open(path, "w", encoding="utf-8") as f:
-            if args.format == "tsv":
-                f.write(EVAL_TSV_HEADER + "\n" + report.tsv_line() + "\n")
-            else:
-                f.write(report.text_block())
-        outputs.append(path)
-    return inputs, outputs
+        name, text = "eval_report.txt", report.text_block()
+    return [args.features, args.pairs, args.model], _write_optional(args, name, text)
 
 
 def _cmd_embed(args):
@@ -329,15 +324,8 @@ def _cmd_recommend(args):
     ranked = rank_candidates(model, features, args.query, candidates)[: args.top]
     lines = [f"{item}\t{dist!r}\t{prob!r}" for item, dist, prob in ranked]
     print("\n".join(lines))
-    inputs = [args.features, args.model, args.category_file]
-    outputs = []
-    if args.out:
-        out = _ensure_out(args)
-        path = os.path.join(out, "recommendations.tsv")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-        outputs.append(path)
-    return inputs, outputs
+    return ([args.features, args.model, args.category_file],
+            _write_optional(args, "recommendations.tsv", "\n".join(lines) + "\n"))
 
 
 def _cmd_build_outfit(args):
@@ -351,15 +339,8 @@ def _cmd_build_outfit(args):
         item, dist, prob = rank_candidates(model, features, args.query, [pick])[0]
         lines.append(f"{os.path.basename(path)}\t{item}\t{dist!r}\t{prob!r}")
     print("\n".join(lines))
-    inputs = [args.features, args.model] + category_files
-    outputs = []
-    if args.out:
-        out = _ensure_out(args)
-        path = os.path.join(out, "outfit.tsv")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-        outputs.append(path)
-    return inputs, outputs
+    return ([args.features, args.model] + category_files,
+            _write_optional(args, "outfit.tsv", "\n".join(lines) + "\n"))
 
 
 def _cmd_score_outfit(args):
@@ -369,15 +350,7 @@ def _cmd_score_outfit(args):
     score = outfit_coherence(model, features, items, args.normalize)
     line = f"{','.join(score.items)}\t{score.pair_count}\t{score.mean_pair_loglik!r}"
     print(line)
-    inputs = [args.features, args.model]
-    outputs = []
-    if args.out:
-        out = _ensure_out(args)
-        path = os.path.join(out, "outfit_score.tsv")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(line + "\n")
-        outputs.append(path)
-    return inputs, outputs
+    return [args.features, args.model], _write_optional(args, "outfit_score.tsv", line + "\n")
 
 
 def _cmd_makeover_delta(args):
@@ -387,15 +360,8 @@ def _cmd_makeover_delta(args):
     after = args.after.split(",")
     delta = makeover_delta(model, features, before, after, args.normalize)
     print(repr(delta))
-    inputs = [args.features, args.model]
-    outputs = []
-    if args.out:
-        out = _ensure_out(args)
-        path = os.path.join(out, "makeover_delta.tsv")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(repr(delta) + "\n")
-        outputs.append(path)
-    return inputs, outputs
+    return ([args.features, args.model],
+            _write_optional(args, "makeover_delta.tsv", repr(delta) + "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +371,6 @@ def _cmd_makeover_delta(args):
 def _add_common(parser, out_required=True):
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for every random choice this command makes")
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="worker threads (default: STYLEMETRIC_THREADS or 1)")
-    parser.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="ordered reductions; disable for speed on large runs")
     if out_required:
         parser.add_argument("--out", required=True, help="output directory")
     else:

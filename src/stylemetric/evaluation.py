@@ -13,7 +13,7 @@ import numpy as np
 from .catalog import CategoryMap, DataError, MetricModel, RelationGraph
 from .metric import model_distances
 from .sampling import LabeledPairSet
-from .training import TrainConfig, _pair_arrays, train
+from .training import TrainConfig, _pair_arrays, _users_for_model, train
 
 EVAL_TSV_HEADER = "kind\trank\tpartition\tpairs\taccuracy\ttp\ttn\tfp\tfn\tmodel_digest"
 
@@ -57,22 +57,11 @@ class EvalReport:
                 f"tp: {self.tp}  tn: {self.tn}  fp: {self.fp}  fn: {self.fn}\n")
 
 
-def _map_users(model: MetricModel, pairs, users):
-    """Align pair-set user indices with the model's user table."""
-    if users is None or model.kind != "personalized":
-        return None
-    if isinstance(pairs, LabeledPairSet) and pairs.user_ids is not None \
-            and model.user_ids is not None and pairs.user_ids != model.user_ids:
-        remap = np.array([model.user_index(u) for u in pairs.user_ids], dtype=np.int64)
-        return remap[users]
-    return users
-
-
 def evaluate(model: MetricModel, features, pairs) -> EvalReport:
     """Confusion counts and accuracy of the d < c rule on a labeled pair set."""
     X = features.normalized(model.feature_norm).values
     i_idx, j_idx, labels, users = _pair_arrays(pairs, features)
-    users = _map_users(model, pairs, users)
+    users = _users_for_model(model, pairs, users)
     d = model_distances(model, X, i_idx, j_idx, users)
     pred = d < model.threshold
     tp = int(np.sum(pred & labels))

@@ -48,8 +48,8 @@ def embed(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def dist_weighted(w, x_i, x_j) -> float:
     """Weighted nearest-neighbor distance ||w o (x_i - x_j)||^2."""
-    delta = np.asarray(x_i, dtype=np.float64) - np.asarray(x_j, dtype=np.float64)
-    return float(_rowwise_sqnorm((delta * np.asarray(w, dtype=np.float64))[None, :])[0])
+    X = np.vstack([x_i, x_j]).astype(np.float64, copy=False)
+    return float(pair_distances_style(X, [0], [1], np.asarray(w, dtype=np.float64))[0])
 
 
 def dist_lowrank(Y, x_i, x_j) -> float:
@@ -127,32 +127,32 @@ def decide(d, c):
     return bool(verdict) if scalar else verdict
 
 
-def pair_distances_weighted(X, w, i_idx, j_idx) -> np.ndarray:
-    """Batch ||w o (x_i - x_j)||^2 over index pairs, blocked for memory."""
-    m = len(i_idx)
-    out = np.empty(m, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    for start in range(0, m, _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, m)
-        delta = X[i_idx[start:stop]] - X[j_idx[start:stop]]
-        out[start:stop] = _rowwise_sqnorm(delta * w)
-    return out
+def pair_terms(S, i_idx, j_idx, w=None):
+    """Differences P = S[i] - S[j], weighted V = P o w, and d = ||V||^2.
 
-
-def pair_distances_style(S, i_idx, j_idx, user_w=None) -> np.ndarray:
-    """Batch style-space distances from precomputed embeddings S (n, K).
-
-    With user_w (m, K) the differences are reweighted per pair before the
-    squared norm, giving the personalized distance.
+    The one pair-difference kernel behind every distance and the training
+    objective. w is None, a shared (K,) weight vector, or one (m, K) row per
+    pair; without it V is P itself.
     """
+    P = S[i_idx] - S[j_idx]
+    V = P if w is None else P * w
+    return P, V, _rowwise_sqnorm(V)
+
+
+def pair_distances_style(S, i_idx, j_idx, w=None) -> np.ndarray:
+    """Batch distances ||(S[i] - S[j]) o w||^2 over index pairs, blocked for memory.
+
+    S holds style coordinates (n, K): embeddings for the low-rank kinds, raw
+    features for weighted_nn. w is None, a shared (K,) weight vector, or a
+    per-pair (m, K) table such as the personalized user weights.
+    """
+    per_pair = w is not None and np.ndim(w) == 2
     m = len(i_idx)
     out = np.empty(m, dtype=np.float64)
     for start in range(0, m, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, m)
-        v = S[i_idx[start:stop]] - S[j_idx[start:stop]]
-        if user_w is not None:
-            v = v * user_w[start:stop]
-        out[start:stop] = _rowwise_sqnorm(v)
+        out[start:stop] = pair_terms(S, i_idx[start:stop], j_idx[start:stop],
+                                     w[start:stop] if per_pair else w)[2]
     return out
 
 
@@ -171,7 +171,7 @@ def model_distances(model: MetricModel, X: np.ndarray, i_idx, j_idx, user_idx=No
             f"feature dimension {X.shape[1]} does not match model ({model.n_features})"
         )
     if model.kind == "weighted_nn":
-        return pair_distances_weighted(X, model.transform, i_idx, j_idx)
+        return pair_distances_style(X, i_idx, j_idx, model.transform)
     S = project_rows(X, model.transform)
     if model.kind == "personalized" and user_idx is not None:
         user_idx = np.asarray(user_idx, dtype=np.int64)

@@ -86,11 +86,6 @@ class LabeledPairSet:
             users = np.concatenate([self.pos_users, self.neg_users])
         return i_idx, j_idx, labels, users
 
-    def relabeled(self) -> "LabeledPairSet":
-        """The same pairs with every label flipped (for symmetry checks)."""
-        return LabeledPairSet(self.item_ids, self.neg_pairs, self.pos_pairs, self.partition,
-                              self.user_ids, self.neg_users, self.pos_users)
-
 
 def _encode(pairs: np.ndarray, n_items: int) -> np.ndarray:
     return pairs[:, 0] * np.int64(n_items) + pairs[:, 1]

@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import FeatureMatrix, MetricModel, RelationGraph, UserTripleSet
-from .metric import _rowwise_sqnorm, project_rows
+from .metric import pair_distances_style, project_rows
 
 MODES = ("axis_aligned", "cross_feature", "two_population_users")
 
 _PAIRS_PER_USER = 50
 _USER_THRESHOLD_QUANTILE = 0.10
 _USER_CANDIDATE_DRAWS = 4096
-_DIST_BLOCK = 262144
 
 
 @dataclass
@@ -105,14 +104,6 @@ def _item_ids(n: int):
     return [f"i{idx:0{width}d}" for idx in range(n)]
 
 
-def _all_pair_distances(S, ii, jj):
-    d = np.empty(len(ii))
-    for start in range(0, len(ii), _DIST_BLOCK):
-        stop = min(start + _DIST_BLOCK, len(ii))
-        d[start:stop] = _rowwise_sqnorm(S[ii[start:stop]] - S[jj[start:stop]])
-    return d
-
-
 def generate(config: SynthConfig) -> SynthResult:
     """Sample a catalog, plant a metric, and emit labeled relationships.
 
@@ -142,7 +133,7 @@ def generate(config: SynthConfig) -> SynthResult:
     ii, jj = np.triu_indices(N, k=1)
     ii = ii.astype(np.int64)
     jj = jj.astype(np.int64)
-    d = _all_pair_distances(S, ii, jj)
+    d = pair_distances_style(S, ii, jj)
 
     if config.c_star is None:
         c_star = float(np.partition(d, E)[E])
@@ -211,7 +202,7 @@ def _generate_two_population(config, features, Y, S, info):
         a = urng.integers(0, N, size=_USER_CANDIDATE_DRAWS)
         b = urng.integers(0, N, size=_USER_CANDIDATE_DRAWS)
         keep = a != b
-        cand_d = _rowwise_sqnorm((S[a[keep]] - S[b[keep]]) * mask)
+        cand_d = pair_distances_style(S, a[keep], b[keep], mask)
         c_u = float(np.quantile(cand_d, _USER_THRESHOLD_QUANTILE))
         user_thresholds.append(c_u)
         flips = int(urng.binomial(_PAIRS_PER_USER, config.noise)) if config.noise > 0 else 0
@@ -227,7 +218,7 @@ def _generate_two_population(config, features, Y, S, info):
             lo, hi = (p, q) if p < q else (q, p)
             if (lo, hi, user) in seen_user_pairs:
                 continue
-            du = float(_rowwise_sqnorm((S[lo:lo + 1] - S[hi:hi + 1]) * mask)[0])
+            du = float(pair_distances_style(S, [lo], [hi], mask)[0])
             bucket = 0 if du < c_u else 1
             if got[bucket] >= quota[bucket]:
                 continue

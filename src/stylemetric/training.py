@@ -1,4 +1,4 @@
-"""Pairwise logistic likelihood, analytic gradients, and the optimizers.
+"""Pairwise logistic likelihood, its analytic gradient, and the optimizers.
 
 The learning problem is shared by every metric kind: maximize
 
@@ -6,20 +6,32 @@ The learning problem is shared by every metric kind: maximize
 
 over the metric parameters and the threshold c, where d is the distance of
 the pair under the current parameters. Internally the optimizer minimizes
-f = -L (plus an optional quadratic penalty, off by default). Likelihood and
-gradient sums run over fixed pair blocks through the deterministic reduction
-in parallel.py, so results do not depend on the thread count.
+f = -L (plus an optional quadratic penalty, off by default).
 
-Gradient derivation, used by all kinds. Write t = c - d and p = sigma(t):
+Every kind is one distance in style space. A kind supplies item coordinates
+S and optional per-dimension weights W:
+
+    weighted_nn:   S = X,    W = w, shared by all pairs
+    low_rank:      S = X Y,  no W
+    personalized:  S = X Y,  W = w_u, the weight row of the pair's user
+
+For a pair (i, j), P = S_i - S_j, V = P o W (V = P without W) and d = ||V||^2.
+Write t = c - d and p = sigma(t):
 
     related pair:    dL/dc += (1 - p),   dL/dd = -(1 - p)
     unrelated pair:  dL/dc += -p,        dL/dd = +p
 
-and the chain rule through each distance gives, with D = x_i - x_j:
+With Q = 2 (dL/dd) V per pair, the chain rule gives
 
-    weighted_nn:   dd/dw = 2 w o D o D
-    low_rank:      dd/dY = 2 D^T (D Y)
-    personalized:  dd/dY = 2 D^T ((D Y) o w_u^2),  dd/dw_uk = 2 (D Y)_k^2 w_uk
+    dL/dS_i += Q o W,  dL/dS_j -= Q o W   (scattered into G, one row per item)
+    dL/dY    = X^T G                       (low_rank, personalized)
+    dL/dw    = sum of Q o P over all pairs (weighted_nn)
+    dL/dw_u  = sum of Q o P over the pairs of user u (personalized)
+
+weighted_nn has no Y, so nothing is scattered for it. One pass over the pairs
+yields L, the whole gradient and the training accuracy. It runs on one thread
+in fixed blocks, and every sum runs in pair order, so results depend only on
+the inputs.
 """
 
 import time
@@ -29,8 +41,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .catalog import DataError, MetricModel
-from .metric import model_distances, project_rows, sigmoid, softplus, _rowwise_sqnorm
-from .parallel import map_reduce_blocks, resolve_threads
+from .metric import pair_distances_style, pair_terms, project_rows, sigmoid, softplus
 from .sampling import LabeledPairSet
 
 _GRAD_NORM_FLOOR = 1e-8
@@ -39,6 +50,10 @@ _MIN_STEP = 1e-20
 _CURVATURE_GUARD = 1e-10
 _HISTORY = 10
 _C0_SAMPLE = 1000
+# Pairs per block of the objective's pass. It bounds the temporaries, which
+# are (block, F) arrays for weighted_nn, and never changes a result beyond
+# rounding.
+_BLOCK = 16384
 
 
 class TrainingError(Exception):
@@ -65,8 +80,6 @@ class TrainConfig:
     init_scale: float | None = None
     feature_norm: str = "none"
     c0: float | None = None
-    threads: int | None = None
-    deterministic: bool = True
     l2_penalty: float = 0.0
 
     def validate(self):
@@ -114,24 +127,15 @@ class TrainConfig:
 
 def _coerce_config_value(key, raw, path, lineno):
     optional_float = {"init_scale", "c0"}
-    int_keys = {"rank", "max_iterations", "seed", "threads"}
+    int_keys = {"rank", "max_iterations", "seed"}
     float_keys = {"tolerance", "initial_step", "step_decay", "l2_penalty"}
-    bool_keys = {"deterministic"}
     try:
         if key in optional_float:
             return None if raw.lower() in ("none", "null", "") else float(raw)
-        if key == "threads" and raw.lower() in ("none", "null", ""):
-            return None
         if key in int_keys:
             return int(raw)
         if key in float_keys:
             return float(raw)
-        if key in bool_keys:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
     except ValueError:
         raise DataError(f"{path}:{lineno}: bad value {raw!r} for {key!r}") from None
     return raw
@@ -167,12 +171,11 @@ class _Objective:
     """f = -L (+ l2 penalty on the transform) with its gradient.
 
     Parameters travel as one flat vector: transform, then c, then (for the
-    personalized kind) the user weight table. Likelihood and gradient are
-    reduced over fixed pair blocks so values are thread-count independent.
+    personalized kind) the user weight table.
     """
 
     def __init__(self, kind, X, i_idx, j_idx, labels, users=None, n_users=0,
-                 rank=None, l2_penalty=0.0, threads=1, deterministic=True):
+                 rank=None, l2_penalty=0.0):
         self.kind = kind
         self.X = X
         self.i = i_idx
@@ -183,8 +186,6 @@ class _Objective:
         self.F = X.shape[1]
         self.K = self.F if kind == "weighted_nn" else rank
         self.l2_penalty = l2_penalty
-        self.threads = threads
-        self.deterministic = deterministic
         if kind == "personalized":
             if users is None:
                 raise DataError("personalized objective requires user indices")
@@ -220,178 +221,134 @@ class _Objective:
         np.maximum(out[t_end:], 0.0, out=out[t_end:])
         return out
 
-    def _penalty(self, transform):
-        if self.l2_penalty == 0.0:
-            return 0.0
-        return self.l2_penalty * float(np.sum(transform * transform))
-
-    def loglik(self, vec) -> float:
-        """Plain log-likelihood at vec (no penalty term)."""
-        transform, c, user_w = self.unpack(vec)
+    def style(self, transform):
+        """Style coordinates S of every item and the shared weight vector, if any."""
         if self.kind == "weighted_nn":
-            w = transform
-
-            def worker(lo, hi):
-                delta = self.X[self.i[lo:hi]] - self.X[self.j[lo:hi]]
-                return self._block_loglik(_rowwise_sqnorm(delta * w), c, lo, hi)
-        else:
-            S = project_rows(self.X, transform)
-
-            def worker(lo, hi):
-                v = S[self.i[lo:hi]] - S[self.j[lo:hi]]
-                if self.kind == "personalized":
-                    v = v * user_w[self.users[lo:hi]]
-                return self._block_loglik(_rowwise_sqnorm(v), c, lo, hi)
-
-        return map_reduce_blocks(len(self.i), worker, lambda a, b: a + b,
-                                 self.threads, self.deterministic)
-
-    def _block_loglik(self, d, c, lo, hi):
-        t = c - d
-        lab = self.labels[lo:hi]
-        return -(float(np.sum(softplus(-t[lab]))) + float(np.sum(softplus(t[~lab]))))
+            return self.X, transform
+        return project_rows(self.X, transform), None
 
     def value_and_grad(self, vec):
-        """Returns (f, L, grad_f) at vec."""
+        """Returns (f, L, grad_f, train_accuracy) at vec from one pass over the pairs."""
         transform, c, user_w = self.unpack(vec)
+        S, w = self.style(transform)
+        m = len(self.i)
+        L = gc = 0.0
+        hits = 0
+        gW = None if user_w is None else np.zeros_like(user_w)
         if self.kind == "weighted_nn":
-            L, gc, gt = self._grad_weighted(transform, c)
-            gw_extra = None
-        elif self.kind == "low_rank":
-            L, gc, gt = self._grad_lowrank(transform, c)
-            gw_extra = None
+            gt = np.zeros(self.F)
         else:
-            L, gc, gt, gw_extra = self._grad_personalized(transform, c, user_w)
-        grad_parts = [-gt.ravel(), [-gc]]
-        if gw_extra is not None:
-            grad_parts.append(-gw_extra.ravel())
-        grad = np.concatenate(grad_parts)
-        f = -L + self._penalty(transform)
+            G = np.zeros((len(S), self.K))
+        for lo in range(0, m, _BLOCK):
+            i, j = self.i[lo:lo + _BLOCK], self.j[lo:lo + _BLOCK]
+            lab = self.labels[lo:lo + _BLOCK]
+            if user_w is not None:
+                u = self.users[lo:lo + _BLOCK]
+                w = user_w[u]
+            P, V, d = pair_terms(S, i, j, w)
+            t = c - d
+            L -= float(np.sum(softplus(-t[lab]))) + float(np.sum(softplus(t[~lab])))
+            p = sigmoid(t)
+            r = np.where(lab, 1.0 - p, -p)  # dL/dc per pair; dL/dd = -r
+            gc += float(np.sum(r))
+            hits += int(np.count_nonzero((d < c) == lab))
+            if self.kind == "weighted_nn":
+                gt += (-2.0 * r) @ (V * P)
+                continue
+            Q = (-2.0 * r)[:, None] * V
+            if user_w is not None:
+                _scatter_rows(gW, u, Q * P)
+                Q *= w
+            _scatter_rows(G, i, Q)
+            _scatter_rows(G, j, -Q)
+        if self.kind != "weighted_nn":
+            gt = self.X.T @ G
+        grad = -self.pack(gt, gc, gW)
+        f = -L
         if self.l2_penalty != 0.0:
+            f += self.l2_penalty * float(np.sum(transform * transform))
             grad[: transform.size] += 2.0 * self.l2_penalty * transform.ravel()
-        return f, L, grad
-
-    def _coeffs(self, d, c, lo, hi):
-        t = c - d
-        lab = self.labels[lo:hi]
-        L = -(float(np.sum(softplus(-t[lab]))) + float(np.sum(softplus(t[~lab]))))
-        p = sigmoid(t)
-        coeff = np.where(lab, -(1.0 - p), p)  # dL/dd per pair
-        gc = float(np.sum(np.where(lab, 1.0 - p, -p)))
-        return L, gc, coeff
-
-    def _grad_weighted(self, w, c):
-        def worker(lo, hi):
-            delta = self.X[self.i[lo:hi]] - self.X[self.j[lo:hi]]
-            d = _rowwise_sqnorm(delta * w)
-            L, gc, coeff = self._coeffs(d, c, lo, hi)
-            gw = 2.0 * w * (coeff @ (delta * delta))
-            return L, gc, gw
-
-        return map_reduce_blocks(len(self.i), worker, _add3,
-                                 self.threads, self.deterministic)
-
-    def _grad_lowrank(self, Y, c):
-        S = project_rows(self.X, Y)
-
-        def worker(lo, hi):
-            i, j = self.i[lo:hi], self.j[lo:hi]
-            P = S[i] - S[j]
-            d = _rowwise_sqnorm(P)
-            L, gc, coeff = self._coeffs(d, c, lo, hi)
-            delta = self.X[i] - self.X[j]
-            gY = delta.T @ ((2.0 * coeff)[:, None] * P)
-            return L, gc, gY
-
-        return map_reduce_blocks(len(self.i), worker, _add3,
-                                 self.threads, self.deterministic)
-
-    def _grad_personalized(self, Y, c, user_w):
-        S = project_rows(self.X, Y)
-
-        def worker(lo, hi):
-            i, j = self.i[lo:hi], self.j[lo:hi]
-            u = self.users[lo:hi]
-            W = user_w[u]
-            P = S[i] - S[j]
-            d = _rowwise_sqnorm(P * W)
-            L, gc, coeff = self._coeffs(d, c, lo, hi)
-            delta = self.X[i] - self.X[j]
-            gY = delta.T @ ((2.0 * coeff)[:, None] * (P * W * W))
-            gW = np.zeros((self.n_users, self.K))
-            np.add.at(gW, u, (2.0 * coeff)[:, None] * (P * P) * W)
-            return L, gc, gY, gW
-
-        def combine(a, b):
-            return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-        return map_reduce_blocks(len(self.i), worker, combine,
-                                 self.threads, self.deterministic)
+        return f, L, grad, hits / m if m else 0.0
 
 
-def _add3(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+def _scatter_rows(out, idx, rows):
+    """out[idx[n]] += rows[n] for every n, summed in pair order."""
+    for k in range(out.shape[1]):
+        out[:, k] += np.bincount(idx, rows[:, k], len(out))
 
 
-def _objective_for_model(model: MetricModel, features, pairs, threads, deterministic):
+def _users_for_model(model: MetricModel, pairs, users):
+    """Pair-set user indices remapped onto the model's user table.
+
+    None unless the model is personalized and the pairs carry users.
+    """
+    if users is None or model.kind != "personalized":
+        return None
+    if isinstance(pairs, LabeledPairSet) and pairs.user_ids is not None \
+            and model.user_ids is not None and pairs.user_ids != model.user_ids:
+        remap = np.array([model.user_index(u) for u in pairs.user_ids], dtype=np.int64)
+        return remap[users]
+    return users
+
+
+def _objective_for_model(model: MetricModel, features, pairs):
     X = features.normalized(model.feature_norm).values
     i_idx, j_idx, labels, users = _pair_arrays(pairs, features)
     kind = model.kind
     n_users = 0
     if kind == "personalized":
+        users = _users_for_model(model, pairs, users)
         if users is None:
             raise DataError("personalized model requires user-annotated pairs")
-        if isinstance(pairs, LabeledPairSet) and pairs.user_ids is not None \
-                and model.user_ids is not None and pairs.user_ids != model.user_ids:
-            remap = np.array([model.user_index(u) for u in pairs.user_ids], dtype=np.int64)
-            users = remap[users]
         n_users = len(model.user_ids)
     obj = _Objective(kind, X, i_idx, j_idx, labels, users, n_users,
-                     rank=None if kind == "weighted_nn" else model.rank,
-                     threads=resolve_threads(threads), deterministic=deterministic)
+                     rank=None if kind == "weighted_nn" else model.rank)
     vec = obj.pack(model.transform, model.threshold, model.user_weights)
     return obj, vec
 
 
-def log_likelihood(model: MetricModel, features, pairs, threads=None,
-                   deterministic=True) -> float:
+def log_likelihood(model: MetricModel, features, pairs) -> float:
     """Pairwise logistic log-likelihood of a labeled pair set under a model.
 
     pairs may be a LabeledPairSet or a plain (i_idx, j_idx, labels[, users])
     tuple of arrays. Always <= 0.
     """
-    obj, vec = _objective_for_model(model, features, pairs, threads, deterministic)
-    return obj.loglik(vec)
+    obj, vec = _objective_for_model(model, features, pairs)
+    return obj.value_and_grad(vec)[1]
 
 
-def gradient(model: MetricModel, features, pairs, threads=None, deterministic=True):
+def gradient(model: MetricModel, features, pairs):
     """Analytic gradient of the log-likelihood at the model point.
 
     Returns (dL/dtransform, dL/dc) for global kinds and
     (dL/dtransform, dL/dc, dL/duser_weights) for personalized models.
     """
-    obj, vec = _objective_for_model(model, features, pairs, threads, deterministic)
-    _, _, grad_f = obj.value_and_grad(vec)
+    obj, vec = _objective_for_model(model, features, pairs)
+    grad_f = obj.value_and_grad(vec)[2]
     gt, gc, gw = obj.unpack(-grad_f)
     if model.kind == "personalized":
         return gt.copy(), gc, gw.copy()
     return gt.copy(), gc
 
 
-def _minimize(obj: _Objective, x0, config: TrainConfig, iteration_cb=None):
+def _minimize(obj: _Objective, x0, config: TrainConfig, progress=None):
     """Backtracking quasi-Newton / gradient descent on f with a monotone trace.
 
     Accepted steps satisfy both the Armijo condition (measured against the
     projected step) and plain non-increase of f, so the reported likelihood
-    trace is non-decreasing by construction.
+    trace is non-decreasing by construction. Every trial point is evaluated
+    once; the accepted trial's value, gradient and accuracy carry over.
+    progress, when given, receives one ``iter\\tlog_likelihood\\ttrain_acc``
+    line per accepted iterate. Returns (x, trace, iterations, termination,
+    train_accuracy).
     """
     x = obj.project(np.asarray(x0, dtype=np.float64))
-    f, L, g = obj.value_and_grad(x)
+    f, L, g, acc = obj.value_and_grad(x)
     if not np.isfinite(f):
         raise TrainingError("non-finite likelihood at iteration 0 (bad init scale?)")
     trace = [L]
-    if iteration_cb is not None:
-        iteration_cb(0, L, x)
+    if progress is not None:
+        progress.write(f"0\t{L:.6f}\t{acc:.4f}\n")
     history: deque = deque(maxlen=_HISTORY)
     termination = "max_iterations"
     it = 0
@@ -411,7 +368,7 @@ def _minimize(obj: _Objective, x0, config: TrainConfig, iteration_cb=None):
         accepted = False
         while alpha >= _MIN_STEP:
             xt = obj.project(x + alpha * p)
-            ft = -obj.loglik(xt) + obj._penalty(obj.unpack(xt)[0])
+            ft, Lt, gt, acct = obj.value_and_grad(xt)
             if not np.isfinite(ft):
                 raise TrainingError(f"non-finite likelihood at iteration {it + 1}")
             gdx = float(g @ (xt - x))
@@ -423,22 +380,21 @@ def _minimize(obj: _Objective, x0, config: TrainConfig, iteration_cb=None):
             termination = "no_ascent_step"
             break
         f_prev = f
-        f, L, g_new = obj.value_and_grad(xt)
         s = xt - x
-        y = g_new - g
+        y = gt - g
         sy = float(s @ y)
         if config.optimizer == "quasi_newton" and \
                 sy > _CURVATURE_GUARD * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             history.append((s, y, 1.0 / sy))
-        x, g = xt, g_new
+        x, f, L, g, acc = xt, ft, Lt, gt, acct
         it += 1
         trace.append(L)
-        if iteration_cb is not None:
-            iteration_cb(it, L, x)
+        if progress is not None:
+            progress.write(f"{it}\t{L:.6f}\t{acc:.4f}\n")
         if abs(f_prev - f) <= config.tolerance * max(1.0, abs(f_prev)):
             termination = "tolerance"
             break
-    return x, trace, it, termination
+    return x, trace, it, termination, acc
 
 
 def _two_loop(g, history):
@@ -459,11 +415,7 @@ def _two_loop(g, history):
     return q
 
 
-def _accuracy(d, c, labels) -> float:
-    return float(np.mean((d < c) == labels))
-
-
-def _init_params(config: TrainConfig, obj: _Objective, X, i_idx, j_idx):
+def _init_params(config: TrainConfig, obj: _Objective):
     rng = np.random.default_rng(config.seed)
     scale = config.init_scale if config.init_scale is not None else 1.0 / np.sqrt(obj.F)
     if config.kind == "weighted_nn":
@@ -473,14 +425,10 @@ def _init_params(config: TrainConfig, obj: _Objective, X, i_idx, j_idx):
     if config.c0 is not None:
         c0 = config.c0
     else:
-        m = len(i_idx)
+        m = len(obj.i)
         sel = rng.choice(m, size=min(_C0_SAMPLE, m), replace=False)
-        if config.kind == "weighted_nn":
-            d0 = _rowwise_sqnorm((X[i_idx[sel]] - X[j_idx[sel]]) * transform)
-        else:
-            S = project_rows(X, transform)
-            d0 = _rowwise_sqnorm(S[i_idx[sel]] - S[j_idx[sel]])
-        c0 = float(np.mean(d0))
+        S, w = obj.style(transform)
+        c0 = float(np.mean(pair_distances_style(S, obj.i[sel], obj.j[sel], w)))
     return transform, c0
 
 
@@ -509,9 +457,7 @@ def train(config: TrainConfig, features, pairs, warm_start: MetricModel | None =
     if len(i_idx) == 0:
         raise DataError("cannot train on an empty pair set")
     obj = _Objective(config.kind, X, i_idx, j_idx, labels,
-                     rank=config.rank, l2_penalty=config.l2_penalty,
-                     threads=resolve_threads(config.threads),
-                     deterministic=config.deterministic)
+                     rank=config.rank, l2_penalty=config.l2_penalty)
     if warm_start is not None:
         if warm_start.kind != config.kind or warm_start.n_features != obj.F:
             raise DataError("warm start does not match the configured kind/dimensions")
@@ -519,17 +465,15 @@ def train(config: TrainConfig, features, pairs, warm_start: MetricModel | None =
             raise DataError("warm start rank does not match config")
         transform, c0 = warm_start.transform, warm_start.threshold
     else:
-        transform, c0 = _init_params(config, obj, X, i_idx, j_idx)
+        transform, c0 = _init_params(config, obj)
     x0 = obj.pack(transform, c0)
-    cb = _progress_callback(progress, obj, i_idx, j_idx, labels)
-    x, trace, iterations, termination = _minimize(obj, x0, config, cb)
+    x, trace, iterations, termination, accuracy = _minimize(obj, x0, config, progress)
     final_t, final_c, _ = obj.unpack(x)
     model = MetricModel(config.kind, final_t.copy(), final_c,
                         metadata={"feature_norm": config.feature_norm,
                                   "rank": int(obj.K), "termination": termination})
-    d = model_distances(model, X, i_idx, j_idx)
-    report = TrainReport(trace, _accuracy(d, final_c, labels),
-                         time.perf_counter() - start, iterations, termination)
+    report = TrainReport(trace, accuracy, time.perf_counter() - start,
+                         iterations, termination)
     return model, report
 
 
@@ -557,25 +501,19 @@ def train_personalized(config: TrainConfig, features, pairs: LabeledPairSet,
     n_users = len(pairs.user_ids)
     if warm_start.n_features != X.shape[1]:
         raise DataError("warm start feature dimension mismatch")
-    kind = "low_rank" if freeze_user_weights else "personalized"
     rank = warm_start.rank
     ones = np.ones((n_users, rank))
     if freeze_user_weights:
         # With unit weights the personalized distance is the global one, so
         # the frozen fit is exactly a low_rank fit from the warm start.
         obj = _Objective("low_rank", X, i_idx, j_idx, labels,
-                         rank=rank, l2_penalty=config.l2_penalty,
-                         threads=resolve_threads(config.threads),
-                         deterministic=config.deterministic)
+                         rank=rank, l2_penalty=config.l2_penalty)
         x0 = obj.pack(warm_start.transform, warm_start.threshold)
     else:
         obj = _Objective("personalized", X, i_idx, j_idx, labels, users, n_users,
-                         rank=rank, l2_penalty=config.l2_penalty,
-                         threads=resolve_threads(config.threads),
-                         deterministic=config.deterministic)
+                         rank=rank, l2_penalty=config.l2_penalty)
         x0 = obj.pack(warm_start.transform, warm_start.threshold, ones)
-    cb = _progress_callback(progress, obj, i_idx, j_idx, labels)
-    x, trace, iterations, termination = _minimize(obj, x0, config, cb)
+    x, trace, iterations, termination, accuracy = _minimize(obj, x0, config, progress)
     final_t, final_c, final_w = obj.unpack(x)
     if final_w is None:
         final_w = ones
@@ -583,26 +521,6 @@ def train_personalized(config: TrainConfig, features, pairs: LabeledPairSet,
                         list(pairs.user_ids), final_w.copy(),
                         metadata={"feature_norm": config.feature_norm,
                                   "rank": int(rank), "termination": termination})
-    d = model_distances(model, X, i_idx, j_idx, users)
-    report = TrainReport(trace, _accuracy(d, final_c, labels),
-                         time.perf_counter() - start, iterations, termination)
+    report = TrainReport(trace, accuracy, time.perf_counter() - start,
+                         iterations, termination)
     return model, report
-
-
-def _progress_callback(progress, obj, i_idx, j_idx, labels):
-    if progress is None:
-        return None
-
-    def cb(it, L, vec):
-        transform, c, user_w = obj.unpack(vec)
-        if obj.kind == "weighted_nn":
-            d = _rowwise_sqnorm((obj.X[i_idx] - obj.X[j_idx]) * transform)
-        else:
-            S = project_rows(obj.X, transform)
-            v = S[i_idx] - S[j_idx]
-            if user_w is not None:
-                v = v * user_w[obj.users]
-            d = _rowwise_sqnorm(v)
-        progress.write(f"{it}\t{L:.6f}\t{_accuracy(d, c, labels):.4f}\n")
-
-    return cb

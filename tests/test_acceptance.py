@@ -392,29 +392,27 @@ def test_criterion_10_deterministic_reruns(tmp_path):
         data, sampled, splits = root / "data", root / "sampled", root / "splits"
         fit, emb, clu, nav = root / "fit", root / "emb", root / "clu", root / "nav"
         assert r("synth", "--n", 150, "--f", 8, "--k", 2, "--edges", 600,
-                 "--noise", 0.1, "--seed", 9, "--deterministic", "--out", data) == 0
+                 "--noise", 0.1, "--seed", 9, "--out", data) == 0
         assert r("sample", "--features", data / "features.tsv",
                  "--edges", data / "edges.tsv", "--seed", 9,
-                 "--deterministic", "--out", sampled) == 0
+                 "--out", sampled) == 0
         assert r("split", "--features", data / "features.tsv",
                  "--pairs", sampled / "pairs.tsv", "--seed", 9,
-                 "--deterministic", "--out", splits) == 0
+                 "--out", splits) == 0
         assert r("train", "--features", data / "features.tsv",
                  "--pairs", splits / "train.pairs", "--rank", 2,
-                 "--max-iter", 60, "--seed", 9, "--deterministic",
-                 "--out", fit) == 0
+                 "--max-iter", 60, "--seed", 9, "--out", fit) == 0
         assert r("eval", "--features", data / "features.tsv",
                  "--pairs", splits / "test.pairs", "--model", fit / "model.bin",
-                 "--format", "tsv", "--deterministic", "--out", root / "ev") == 0
+                 "--format", "tsv", "--out", root / "ev") == 0
         assert r("embed", "--features", data / "features.tsv",
-                 "--model", fit / "model.bin", "--deterministic",
-                 "--out", emb) == 0
+                 "--model", fit / "model.bin", "--out", emb) == 0
         assert r("cluster", "--features", data / "features.tsv",
                  "--model", fit / "model.bin", "--k", 5, "--seed", 9,
-                 "--deterministic", "--out", clu) == 0
+                 "--out", clu) == 0
         assert r("navigate", "--features", data / "features.tsv",
                  "--model", fit / "model.bin", "--source", "i000",
-                 "--target", "i100", "--deterministic", "--out", nav) == 0
+                 "--target", "i100", "--out", nav) == 0
         return _digest_tree(root)
 
     first = run_pipeline(tmp_path / "one")

@@ -116,8 +116,7 @@ def test_rerun_with_same_seed_is_byte_identical(pipeline):
     for fit in (fit1, fit2):
         assert run("train", "--features", data / "features.tsv",
                    "--pairs", splits / "train.pairs", "--rank", 2,
-                   "--max-iter", 40, "--seed", 3, "--deterministic",
-                   "--out", fit) == 0
+                   "--max-iter", 40, "--seed", 3, "--out", fit) == 0
     assert _tree_digests(fit1) == _tree_digests(fit2)
 
 
@@ -234,22 +233,6 @@ class TestExitCodes:
         assert run("navigate", "--features", data / "features.tsv",
                    "--model", fit / "model.bin", "--source", "ghost",
                    "--target", "i001", "--out", tmp_path / "nav") == 2
-
-
-def test_threads_env_fallback(pipeline, monkeypatch):
-    data, splits = pipeline / "data", pipeline / "splits"
-    fit_env = pipeline / "fit_env"
-    monkeypatch.setenv("STYLEMETRIC_THREADS", "2")
-    assert run("train", "--features", data / "features.tsv",
-               "--pairs", splits / "train.pairs", "--rank", 2,
-               "--max-iter", 20, "--seed", 0, "--out", fit_env) == 0
-    fit_one = pipeline / "fit_one"
-    monkeypatch.delenv("STYLEMETRIC_THREADS")
-    assert run("train", "--features", data / "features.tsv",
-               "--pairs", splits / "train.pairs", "--rank", 2,
-               "--max-iter", 20, "--seed", 0, "--out", fit_one) == 0
-    # thread count must not leak into the result
-    assert (fit_env / "model.bin").read_bytes() == (fit_one / "model.bin").read_bytes()
 
 
 def test_train_config_file_with_flag_override(pipeline, tmp_path):

@@ -11,8 +11,7 @@ from stylemetric.metric import (decide, dist_full, dist_lowrank,
                                 dist_personalized, dist_weighted, embed,
                                 link_probability, log_link_probability,
                                 model_distances, pair_distances_style,
-                                pair_distances_weighted, project_rows,
-                                sigmoid, softplus)
+                                project_rows, sigmoid, softplus)
 
 
 def brute_full(M, x_i, x_j):
@@ -196,9 +195,9 @@ def test_pair_distances_weighted_matches_scalar_kernel():
     w = rng.uniform(0, 1, 7)
     i_idx = rng.integers(0, 40, 25)
     j_idx = rng.integers(0, 40, 25)
-    d = pair_distances_weighted(X, w, i_idx, j_idx)
+    d = pair_distances_style(X, i_idx, j_idx, w)
     for n, (i, j) in enumerate(zip(i_idx, j_idx)):
-        assert d[n] == pytest.approx(dist_weighted(w, X[i], X[j]), rel=1e-12)
+        assert d[n] == dist_weighted(w, X[i], X[j])
 
 
 def test_pair_distances_style_matches_scalar_kernel():
@@ -240,8 +239,8 @@ class TestModelDistances:
         w = rng.uniform(0, 1, 5)
         m = _model("weighted_nn", w, 1.0)
         d = model_distances(m, X, np.array([0, 1]), np.array([2, 3]))
-        assert d[0] == pytest.approx(dist_weighted(w, X[0], X[2]), rel=1e-12)
-        assert d[1] == pytest.approx(dist_weighted(w, X[1], X[3]), rel=1e-12)
+        assert d[0] == dist_weighted(w, X[0], X[2])
+        assert d[1] == dist_weighted(w, X[1], X[3])
 
     def test_low_rank_kind(self):
         rng = np.random.default_rng(14)
@@ -259,8 +258,8 @@ class TestModelDistances:
         m = _model("personalized", Y, 1.0, user_ids=["u0", "u1"], user_weights=W)
         d = model_distances(m, X, np.array([0, 0]), np.array([1, 1]),
                             user_idx=np.array([0, 1]))
-        assert d[0] == pytest.approx(dist_personalized(Y, W[0], X[0], X[1]), rel=1e-12)
-        assert d[1] == pytest.approx(dist_personalized(Y, W[1], X[0], X[1]), rel=1e-12)
+        assert d[0] == dist_personalized(Y, W[0], X[0], X[1])
+        assert d[1] == dist_personalized(Y, W[1], X[0], X[1])
 
     def test_personalized_without_users_falls_back_to_shared_metric(self):
         rng = np.random.default_rng(16)

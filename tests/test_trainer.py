@@ -5,10 +5,13 @@ of the public log_likelihood must match the public gradient for every
 model kind, coordinate by coordinate.
 """
 
+import io
+
 import numpy as np
 import pytest
 
 from stylemetric.catalog import DataError, FeatureMatrix, MetricModel
+from stylemetric.evaluation import evaluate
 from stylemetric.metric import link_probability
 from stylemetric.sampling import LabeledPairSet
 from stylemetric.training import (TrainConfig, TrainingError, gradient,
@@ -189,17 +192,6 @@ class TestTrainLoop:
         m2, _ = train(cfg2, feats, ps)
         assert not np.array_equal(m1.transform, m2.transform)
 
-    def test_threads_do_not_change_the_trajectory(self):
-        feats, ps = _toy_pairs(seed=8)
-        base = TrainConfig(kind="low_rank", rank=2, max_iterations=30, seed=0,
-                           threads=1)
-        four = TrainConfig(kind="low_rank", rank=2, max_iterations=30, seed=0,
-                           threads=4)
-        m1, r1 = train(base, feats, ps)
-        m4, r4 = train(four, feats, ps)
-        assert r1.trace == r4.trace
-        assert np.array_equal(m1.transform, m4.transform)
-
     def test_weighted_nn_training_works(self):
         feats, ps = _toy_pairs(seed=9)
         cfg = TrainConfig(kind="weighted_nn", max_iterations=60, seed=0)
@@ -357,3 +349,23 @@ class TestTrainPersonalized:
         cfg2 = TrainConfig(kind="low_rank", rank=2, max_iterations=10, seed=0)
         with pytest.raises(DataError):
             train_personalized(cfg2, feats, ps, warm)
+
+
+@pytest.mark.parametrize("kind", ["weighted_nn", "low_rank", "personalized"])
+def test_reported_train_accuracy_equals_evaluate(kind):
+    """The accuracy taken from the objective's own pass must equal evaluate()
+    on the training pairs exactly, and so must the last progress line, which
+    is what the CLI writes to train_log.tsv."""
+    feats, ps = _user_pairs(seed=19)
+    cfg = TrainConfig(kind="weighted_nn" if kind == "weighted_nn" else "low_rank",
+                      rank=3, max_iterations=25, seed=0)
+    log = io.StringIO()
+    if kind == "personalized":
+        warm, _ = train(cfg, feats, ps)
+        model, report = train_personalized(cfg, feats, ps, warm, progress=log)
+    else:
+        model, report = train(cfg, feats, ps, progress=log)
+    assert model.kind == kind
+    want = evaluate(model, feats, ps).accuracy
+    assert report.train_accuracy == want
+    assert log.getvalue().splitlines()[-1].split("\t")[2] == f"{want:.4f}"
