@@ -19,6 +19,7 @@ File formats (text files are tab-separated, UTF-8):
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ RELATION_CLASSES = ("also_viewed", "buy_after_viewing", "also_bought", "bought_t
 _FEATURE_MAGIC = b"SMF1"
 _MODEL_MAGIC = b"SMM1"
 _MODEL_VERSION = 1
+_U32 = struct.Struct("<I")
 
 
 class DataError(Exception):
@@ -358,30 +360,71 @@ def _load_features_text(path) -> FeatureMatrix:
     return FeatureMatrix(item_ids, values)
 
 
+class _Reader:
+    """A binary file read whole and consumed front to back.
+
+    Every length a header declares is checked against the bytes left before
+    it is used, so a corrupt or truncated file raises DataError instead of
+    an overflow or a huge allocation.
+    """
+
+    def __init__(self, path, what):
+        with open(path, "rb") as f:
+            self.buf = f.read()
+        self.pos = 0
+        self.path = path
+        self.what = what
+
+    def _truncated(self, field):
+        return DataError(f"{self.path}: truncated {self.what} ({field})")
+
+    def _advance(self, n, field):
+        """Start of the next n bytes, which must lie inside the file."""
+        if n > len(self.buf) - self.pos:
+            raise self._truncated(field)
+        self.pos += n
+        return self.pos - n
+
+    def take(self, n, field):
+        return self.buf[self._advance(n, field):self.pos]
+
+    def unpack(self, fmt, field):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
+
+    def strings(self, count, field):
+        """count u32-length-prefixed UTF-8 strings."""
+        buf, pos, size, out = self.buf, self.pos, len(self.buf), []
+        for _ in range(count):
+            if size - pos < 4:
+                raise self._truncated(field)
+            (length,) = _U32.unpack_from(buf, pos)
+            pos += 4
+            if length > size - pos:
+                raise self._truncated(field)
+            out.append(buf[pos:pos + length].decode("utf-8"))
+            pos += length
+        self.pos = pos
+        return out
+
+    def floats(self, shape, field):
+        """A float64 array of the given shape, copied out of the file."""
+        count = math.prod(shape)
+        start = self._advance(count * 8, field)
+        return np.frombuffer(self.buf, "<f8", count, start).reshape(shape).copy()
+
+    def finish(self):
+        if self.pos != len(self.buf):
+            raise DataError(f"{self.path}: trailing bytes after {self.what} payload")
+
+
 def _load_features_binary(path) -> FeatureMatrix:
-    with open(path, "rb") as f:
-        f.read(4)
-        head = f.read(16)
-        if len(head) != 16:
-            raise DataError(f"{path}: truncated binary feature file")
-        n_items, n_features = struct.unpack("<QQ", head)
-        item_ids = []
-        for _ in range(n_items):
-            raw_len = f.read(4)
-            if len(raw_len) != 4:
-                raise DataError(f"{path}: truncated id table")
-            (length,) = struct.unpack("<I", raw_len)
-            raw = f.read(length)
-            if len(raw) != length:
-                raise DataError(f"{path}: truncated id table")
-            item_ids.append(raw.decode("utf-8"))
-        payload = f.read(n_items * n_features * 8)
-        if len(payload) != n_items * n_features * 8:
-            raise DataError(f"{path}: truncated feature payload")
-        if f.read(1):
-            raise DataError(f"{path}: trailing bytes after feature payload")
-    values = np.frombuffer(payload, dtype="<f8").reshape(n_items, n_features)
-    return FeatureMatrix(item_ids, values.copy())
+    r = _Reader(path, "binary feature file")
+    r.take(4, "magic")
+    n_items, n_features = r.unpack("<QQ", "header")
+    item_ids = r.strings(n_items, "id table")
+    values = r.floats((n_items, n_features), "feature payload")
+    r.finish()
+    return FeatureMatrix(item_ids, values)
 
 
 # ---------------------------------------------------------------------------
@@ -519,45 +562,28 @@ def save_model(model: MetricModel, path):
 
 
 def load_model(path) -> MetricModel:
-    def take(f, n, what):
-        raw = f.read(n)
-        if len(raw) != n:
-            raise DataError(f"{path}: truncated model file ({what})")
-        return raw
-
-    with open(path, "rb") as f:
-        if take(f, 4, "magic") != _MODEL_MAGIC:
-            raise DataError(f"{path}: not a model file")
-        (version,) = struct.unpack("<I", take(f, 4, "version"))
-        if version != _MODEL_VERSION:
-            raise DataError(f"{path}: model version {version} not supported")
-        (kind_len,) = struct.unpack("<I", take(f, 4, "kind"))
-        kind = take(f, kind_len, "kind").decode("ascii")
-        n_features, rank = struct.unpack("<QQ", take(f, 16, "dimensions"))
-        (threshold,) = struct.unpack("<d", take(f, 8, "threshold"))
-        (meta_len,) = struct.unpack("<I", take(f, 4, "metadata"))
-        metadata = json.loads(take(f, meta_len, "metadata").decode("utf-8"))
-        if kind == "weighted_nn":
-            if rank != n_features:
-                raise DataError(f"{path}: weighted_nn requires K == F")
-            shape = (n_features,)
-        else:
-            shape = (n_features, rank)
-        count = int(np.prod(shape))
-        transform = np.frombuffer(take(f, count * 8, "transform"), dtype="<f8").reshape(shape)
-        (has_users,) = struct.unpack("<B", take(f, 1, "user flag"))
-        user_ids = None
-        user_weights = None
-        if has_users:
-            (n_users,) = struct.unpack("<Q", take(f, 8, "user table"))
-            user_ids = []
-            for _ in range(n_users):
-                (ulen,) = struct.unpack("<I", take(f, 4, "user table"))
-                user_ids.append(take(f, ulen, "user table").decode("utf-8"))
-            user_weights = np.frombuffer(
-                take(f, n_users * rank * 8, "user weights"), dtype="<f8"
-            ).reshape(n_users, rank)
-        if f.read(1):
-            raise DataError(f"{path}: trailing bytes after model payload")
-    return MetricModel(kind, transform.copy(), threshold, user_ids,
-                       None if user_weights is None else user_weights.copy(), metadata)
+    r = _Reader(path, "model file")
+    if r.take(4, "magic") != _MODEL_MAGIC:
+        raise DataError(f"{path}: not a model file")
+    (version,) = r.unpack("<I", "version")
+    if version != _MODEL_VERSION:
+        raise DataError(f"{path}: model version {version} not supported")
+    (kind_len,) = r.unpack("<I", "kind")
+    kind = r.take(kind_len, "kind").decode("ascii")
+    n_features, rank, threshold, meta_len = r.unpack("<QQdI", "header")
+    metadata = json.loads(r.take(meta_len, "metadata").decode("utf-8"))
+    if kind == "weighted_nn":
+        if rank != n_features:
+            raise DataError(f"{path}: weighted_nn requires K == F")
+        transform = r.floats((n_features,), "transform")
+    else:
+        transform = r.floats((n_features, rank), "transform")
+    (has_users,) = r.unpack("<B", "user flag")
+    user_ids = None
+    user_weights = None
+    if has_users:
+        (n_users,) = r.unpack("<Q", "user table")
+        user_ids = r.strings(n_users, "user table")
+        user_weights = r.floats((n_users, rank), "user weights")
+    r.finish()
+    return MetricModel(kind, transform, threshold, user_ids, user_weights, metadata)

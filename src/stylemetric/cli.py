@@ -13,6 +13,7 @@ reproduced exactly.
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -117,10 +118,8 @@ def _train_config_from_args(args) -> TrainConfig:
     overrides = {}
     for flag, field in (("kind", "kind"), ("rank", "rank"),
                         ("max_iter", "max_iterations"), ("tolerance", "tolerance"),
-                        ("optimizer", "optimizer"), ("initial_step", "initial_step"),
-                        ("step_decay", "step_decay"), ("init_scale", "init_scale"),
-                        ("feature_norm", "feature_norm"), ("c0", "c0"),
-                        ("l2_penalty", "l2_penalty")):
+                        ("init_scale", "init_scale"), ("feature_norm", "feature_norm"),
+                        ("c0", "c0"), ("l2_penalty", "l2_penalty")):
         value = getattr(args, flag, None)
         if value is not None:
             overrides[field] = value
@@ -130,10 +129,17 @@ def _train_config_from_args(args) -> TrainConfig:
     return config
 
 
-def _write_train_outputs(out_dir, model, report, log_lines):
-    model_path = os.path.join(out_dir, "model.bin")
+def _train_outputs(args, fit, *extra_inputs):
+    """Run fit(config, features, pairs, progress=log) and write its model,
+    report and log; shared by train and train-personalized."""
+    out = _ensure_out(args)
+    features = load_features(args.features)
+    pairs = load_pairs(args.pairs, features)
+    log = io.StringIO()
+    model, report = fit(_train_config_from_args(args), features, pairs, progress=log)
+    model_path = os.path.join(out, "model.bin")
     save_model(model, model_path)
-    report_path = os.path.join(out_dir, "train_report.json")
+    report_path = os.path.join(out, "train_report.json")
     with open(report_path, "w", encoding="utf-8") as f:
         json.dump({
             "trace": report.trace,
@@ -142,18 +148,16 @@ def _write_train_outputs(out_dir, model, report, log_lines):
             "termination": report.termination,
         }, f, indent=2, sort_keys=True)
         f.write("\n")
-    log_path = os.path.join(out_dir, "train_log.tsv")
+    log_path = os.path.join(out, "train_log.tsv")
     with open(log_path, "w", encoding="utf-8") as f:
-        f.writelines(log_lines)
-    return [model_path, report_path, log_path]
-
-
-class _LineBuffer:
-    def __init__(self):
-        self.lines = []
-
-    def write(self, text):
-        self.lines.append(text)
+        f.write(log.getvalue())
+    print(f"final log-likelihood {report.trace[-1]:.6f}, "
+          f"train accuracy {report.train_accuracy:.4f}, "
+          f"{report.iterations} iterations ({report.termination})")
+    inputs = [args.features, args.pairs, *extra_inputs]
+    if args.config:
+        inputs.append(args.config)
+    return inputs, [model_path, report_path, log_path]
 
 
 # ---------------------------------------------------------------------------
@@ -222,40 +226,15 @@ def _cmd_split(args):
 
 
 def _cmd_train(args):
-    out = _ensure_out(args)
-    features = load_features(args.features)
-    pairs = load_pairs(args.pairs, features)
-    config = _train_config_from_args(args)
-    log = _LineBuffer()
-    model, report = train(config, features, pairs, progress=log)
-    outputs = _write_train_outputs(out, model, report, log.lines)
-    print(f"final log-likelihood {report.trace[-1]:.6f}, "
-          f"train accuracy {report.train_accuracy:.4f}, "
-          f"{report.iterations} iterations ({report.termination})")
-    inputs = [args.features, args.pairs]
-    if args.config:
-        inputs.append(args.config)
-    return inputs, outputs
+    return _train_outputs(args, train)
 
 
 def _cmd_train_personalized(args):
-    out = _ensure_out(args)
-    features = load_features(args.features)
-    pairs = load_pairs(args.pairs, features)
-    warm = load_model(args.warm_start)
-    config = _train_config_from_args(args)
-    log = _LineBuffer()
-    model, report = train_personalized(config, features, pairs, warm,
-                                       freeze_user_weights=args.freeze_user_weights,
-                                       progress=log)
-    outputs = _write_train_outputs(out, model, report, log.lines)
-    print(f"final log-likelihood {report.trace[-1]:.6f}, "
-          f"train accuracy {report.train_accuracy:.4f}, "
-          f"{report.iterations} iterations ({report.termination})")
-    inputs = [args.features, args.pairs, args.warm_start]
-    if args.config:
-        inputs.append(args.config)
-    return inputs, outputs
+    def fit(config, features, pairs, progress):
+        return train_personalized(config, features, pairs, load_model(args.warm_start),
+                                  freeze_user_weights=args.freeze_user_weights,
+                                  progress=progress)
+    return _train_outputs(args, fit, args.warm_start)
 
 
 def _cmd_eval(args):
@@ -383,10 +362,6 @@ def _add_train_flags(parser):
     parser.add_argument("--rank", type=_positive_int, default=None)
     parser.add_argument("--max-iter", dest="max_iter", type=_nonneg_int, default=None)
     parser.add_argument("--tolerance", type=float, default=None)
-    parser.add_argument("--optimizer", choices=("quasi_newton", "gradient_ascent"),
-                        default=None)
-    parser.add_argument("--initial-step", dest="initial_step", type=float, default=None)
-    parser.add_argument("--step-decay", dest="step_decay", type=float, default=None)
     parser.add_argument("--init-scale", dest="init_scale", type=float, default=None)
     parser.add_argument("--feature-norm", dest="feature_norm",
                         choices=("none", "l2_unit"), default=None)

@@ -247,7 +247,10 @@ def load_embedding(path) -> StyleEmbedding:
         header = f.readline().split()
         if len(header) != 3 or header[0] != "#style":
             raise DataError(f"{path}:1: expected '#style <N> <K>' header")
-        n, k = int(header[1]), int(header[2])
+        try:
+            n, k = int(header[1]), int(header[2])
+        except ValueError:
+            raise DataError(f"{path}:1: malformed style header") from None
         item_ids = []
         rows = []
         for lineno, line in enumerate(f, start=2):
@@ -257,8 +260,11 @@ def load_embedding(path) -> StyleEmbedding:
             fields = line.split("\t")
             if len(fields) - 1 != k:
                 raise DataError(f"{path}:{lineno}: expected {k} coordinates")
+            try:
+                rows.append([float(v) for v in fields[1:]])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: unparseable coordinate") from None
             item_ids.append(fields[0])
-            rows.append([float(v) for v in fields[1:]])
     if len(item_ids) != n:
         raise DataError(f"{path}: header says {n} items, file has {len(item_ids)}")
     return StyleEmbedding(item_ids, np.array(rows, dtype=np.float64).reshape(n, k))

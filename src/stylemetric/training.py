@@ -1,4 +1,4 @@
-"""Pairwise logistic likelihood, its analytic gradient, and the optimizers.
+"""Pairwise logistic likelihood, its analytic gradient, and the optimizer.
 
 The learning problem is shared by every metric kind: maximize
 
@@ -34,9 +34,9 @@ in fixed blocks, and every sum runs in pair order, so results depend only on
 the inputs.
 """
 
-import time
+import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .sampling import LabeledPairSet
 
 _GRAD_NORM_FLOOR = 1e-8
 _ARMIJO = 1e-4
+_BACKTRACK = 0.5  # the line search tries steps 1, 1/2, 1/4, ... down to _MIN_STEP
 _MIN_STEP = 1e-20
 _CURVATURE_GUARD = 1e-10
 _HISTORY = 10
@@ -62,20 +63,19 @@ class TrainingError(Exception):
 
 @dataclass
 class TrainConfig:
-    """Knobs for train / train_personalized / fit_wnn.
+    """Settings of train / train_personalized.
 
-    init_scale None means 1/sqrt(F); c0 None means the mean distance of the
-    initial model over a sample of at most 1,000 training pairs, which puts
-    the initial link probabilities near 0.5.
+    Every fit runs the same L-BFGS loop with a backtracking line search, so
+    there is no optimizer or step setting. init_scale None means 1/sqrt(F);
+    c0 None means the mean distance of the initial model over a sample of at
+    most 1,000 training pairs, which puts the initial link probabilities near
+    0.5.
     """
 
     kind: str = "low_rank"
     rank: int = 10
     max_iterations: int = 200
     tolerance: float = 1e-6
-    optimizer: str = "quasi_newton"
-    initial_step: float = 1.0
-    step_decay: float = 0.5
     seed: int = 0
     init_scale: float | None = None
     feature_norm: str = "none"
@@ -87,18 +87,16 @@ class TrainConfig:
             raise DataError(f"unknown metric kind: {self.kind!r}")
         if self.rank < 1:
             raise DataError(f"rank must be >= 1, got {self.rank}")
+        for name in ("tolerance", "init_scale", "c0", "l2_penalty"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value!r}")
         if self.tolerance <= 0:
             raise DataError("tolerance must be positive")
-        if self.optimizer not in ("quasi_newton", "gradient_ascent"):
-            raise DataError(f"unknown optimizer: {self.optimizer!r}")
         if self.init_scale is not None and self.init_scale <= 0:
             raise DataError("init_scale must be positive")
         if self.feature_norm not in ("none", "l2_unit"):
             raise DataError(f"unknown feature normalization: {self.feature_norm!r}")
-        if self.initial_step <= 0:
-            raise DataError("initial_step must be positive")
-        if not 0.0 < self.step_decay < 1.0:
-            raise DataError("step_decay must lie in (0, 1)")
         if self.max_iterations < 0:
             raise DataError("max_iterations must be >= 0")
         if self.l2_penalty < 0:
@@ -128,7 +126,7 @@ class TrainConfig:
 def _coerce_config_value(key, raw, path, lineno):
     optional_float = {"init_scale", "c0"}
     int_keys = {"rank", "max_iterations", "seed"}
-    float_keys = {"tolerance", "initial_step", "step_decay", "l2_penalty"}
+    float_keys = {"tolerance", "l2_penalty"}
     try:
         if key in optional_float:
             return None if raw.lower() in ("none", "null", "") else float(raw)
@@ -145,7 +143,6 @@ def _coerce_config_value(key, raw, path, lineno):
 class TrainReport:
     trace: list  # accepted log-likelihood per iteration; trace[0] is the init
     train_accuracy: float
-    wall_time: float
     iterations: int
     termination: str  # tolerance | max_iterations | gradient_norm | no_ascent_step
 
@@ -332,7 +329,7 @@ def gradient(model: MetricModel, features, pairs):
 
 
 def _minimize(obj: _Objective, x0, config: TrainConfig, progress=None):
-    """Backtracking quasi-Newton / gradient descent on f with a monotone trace.
+    """L-BFGS with a backtracking line search on f, with a monotone trace.
 
     Accepted steps satisfy both the Armijo condition (measured against the
     projected step) and plain non-increase of f, so the reported likelihood
@@ -356,16 +353,11 @@ def _minimize(obj: _Objective, x0, config: TrainConfig, progress=None):
         if float(np.linalg.norm(g)) < _GRAD_NORM_FLOOR:
             termination = "gradient_norm"
             break
-        if config.optimizer == "quasi_newton":
-            p = -_two_loop(g, history)
-            if float(p @ g) >= 0.0:
-                history.clear()
-                p = -g
-            alpha = 1.0
-        else:
+        p = -_two_loop(g, history)
+        if float(p @ g) >= 0.0:
+            history.clear()
             p = -g
-            alpha = config.initial_step
-        accepted = False
+        alpha = 1.0
         while alpha >= _MIN_STEP:
             xt = obj.project(x + alpha * p)
             ft, Lt, gt, acct = obj.value_and_grad(xt)
@@ -373,18 +365,16 @@ def _minimize(obj: _Objective, x0, config: TrainConfig, progress=None):
                 raise TrainingError(f"non-finite likelihood at iteration {it + 1}")
             gdx = float(g @ (xt - x))
             if ft <= f + _ARMIJO * gdx and ft <= f:
-                accepted = True
                 break
-            alpha *= config.step_decay
-        if not accepted:
+            alpha *= _BACKTRACK
+        else:
             termination = "no_ascent_step"
             break
         f_prev = f
         s = xt - x
         y = gt - g
         sy = float(s @ y)
-        if config.optimizer == "quasi_newton" and \
-                sy > _CURVATURE_GUARD * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > _CURVATURE_GUARD * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             history.append((s, y, 1.0 / sy))
         x, f, L, g, acc = xt, ft, Lt, gt, acct
         it += 1
@@ -418,7 +408,7 @@ def _two_loop(g, history):
 def _init_params(config: TrainConfig, obj: _Objective):
     rng = np.random.default_rng(config.seed)
     scale = config.init_scale if config.init_scale is not None else 1.0 / np.sqrt(obj.F)
-    if config.kind == "weighted_nn":
+    if obj.kind == "weighted_nn":
         transform = rng.normal(0.0, scale, size=obj.F)
     else:
         transform = rng.normal(0.0, scale, size=(obj.F, obj.K))
@@ -432,11 +422,40 @@ def _init_params(config: TrainConfig, obj: _Objective):
     return transform, c0
 
 
-def _check_train_input(pairs):
+def _fit(config: TrainConfig, kind, features, pairs, warm_start, progress):
+    """The one fitting routine behind train and train_personalized.
+
+    Validates the inputs, builds the kind's objective over the pairs, runs
+    _minimize from warm_start (or the seeded initialization when it is None)
+    and assembles the model and its report. A personalized fit starts every
+    user weight at one.
+    """
+    config.validate()
     if isinstance(pairs, LabeledPairSet) and pairs.partition != "train":
         raise DataError(
             f"training expects the train partition, got {pairs.partition!r}"
         )
+    X = features.normalized(config.feature_norm).values
+    i_idx, j_idx, labels, users = _pair_arrays(pairs, features)
+    if len(i_idx) == 0:
+        raise DataError("cannot train on an empty pair set")
+    user_ids = list(pairs.user_ids) if kind == "personalized" else None
+    obj = _Objective(kind, X, i_idx, j_idx, labels, users, len(user_ids or ()),
+                     rank=config.rank, l2_penalty=config.l2_penalty)
+    if warm_start is None:
+        transform, c0 = _init_params(config, obj)
+    elif (warm_start.kind, warm_start.n_features, warm_start.rank) != (config.kind, obj.F, obj.K):
+        raise DataError("warm start does not match the configured kind/dimensions")
+    else:
+        transform, c0 = warm_start.transform, warm_start.threshold
+    x0 = obj.pack(transform, c0, np.ones((obj.n_users, obj.K)))
+    x, trace, iterations, termination, accuracy = _minimize(obj, x0, config, progress)
+    transform, c, user_w = obj.unpack(x)
+    model = MetricModel(kind, transform.copy(), c, user_ids,
+                        None if user_w is None else user_w.copy(),
+                        metadata={"feature_norm": config.feature_norm,
+                                  "rank": int(obj.K), "termination": termination})
+    return model, TrainReport(trace, accuracy, iterations, termination)
 
 
 def train(config: TrainConfig, features, pairs, warm_start: MetricModel | None = None,
@@ -448,33 +467,7 @@ def train(config: TrainConfig, features, pairs, warm_start: MetricModel | None =
     the configured kind and dimensions. progress, when given, receives one
     ``iter\\tlog_likelihood\\ttrain_acc`` line per accepted iteration.
     """
-    config.validate()
-    _check_train_input(pairs)
-    start = time.perf_counter()
-    norm_features = features.normalized(config.feature_norm)
-    X = norm_features.values
-    i_idx, j_idx, labels, _ = _pair_arrays(pairs, features)
-    if len(i_idx) == 0:
-        raise DataError("cannot train on an empty pair set")
-    obj = _Objective(config.kind, X, i_idx, j_idx, labels,
-                     rank=config.rank, l2_penalty=config.l2_penalty)
-    if warm_start is not None:
-        if warm_start.kind != config.kind or warm_start.n_features != obj.F:
-            raise DataError("warm start does not match the configured kind/dimensions")
-        if config.kind == "low_rank" and warm_start.rank != config.rank:
-            raise DataError("warm start rank does not match config")
-        transform, c0 = warm_start.transform, warm_start.threshold
-    else:
-        transform, c0 = _init_params(config, obj)
-    x0 = obj.pack(transform, c0)
-    x, trace, iterations, termination, accuracy = _minimize(obj, x0, config, progress)
-    final_t, final_c, _ = obj.unpack(x)
-    model = MetricModel(config.kind, final_t.copy(), final_c,
-                        metadata={"feature_norm": config.feature_norm,
-                                  "rank": int(obj.K), "termination": termination})
-    report = TrainReport(trace, accuracy, time.perf_counter() - start,
-                         iterations, termination)
-    return model, report
+    return _fit(config, config.kind, features, pairs, warm_start, progress)
 
 
 def train_personalized(config: TrainConfig, features, pairs: LabeledPairSet,
@@ -483,44 +476,20 @@ def train_personalized(config: TrainConfig, features, pairs: LabeledPairSet,
     """Fit (Y, c) and nonnegative per-user weights from a global warm start.
 
     pairs must be a user-annotated LabeledPairSet; the model's user table is
-    taken from it. User weights start at all-ones (the point where the
-    personalized distance equals the global one) and are clamped to >= 0
-    after every optimizer step. freeze_user_weights pins them at one, which
-    reduces the fit to the plain low_rank trajectory.
+    taken from it, and the rank from the low_rank warm start (config.kind and
+    config.rank are not used). User weights start at all-ones (the point
+    where the personalized distance equals the global one) and are clamped
+    to >= 0 after every optimizer step. freeze_user_weights pins them at
+    one, which reduces the fit to train from the warm start.
     """
-    config.validate()
-    _check_train_input(pairs)
     if not isinstance(pairs, LabeledPairSet) or pairs.user_ids is None:
         raise DataError("personalized training requires user-annotated pairs")
     if warm_start.kind != "low_rank":
         raise DataError("warm start must be a low_rank model")
-    start = time.perf_counter()
-    norm_features = features.normalized(config.feature_norm)
-    X = norm_features.values
-    i_idx, j_idx, labels, users = _pair_arrays(pairs, features)
-    n_users = len(pairs.user_ids)
-    if warm_start.n_features != X.shape[1]:
-        raise DataError("warm start feature dimension mismatch")
-    rank = warm_start.rank
-    ones = np.ones((n_users, rank))
-    if freeze_user_weights:
-        # With unit weights the personalized distance is the global one, so
-        # the frozen fit is exactly a low_rank fit from the warm start.
-        obj = _Objective("low_rank", X, i_idx, j_idx, labels,
-                         rank=rank, l2_penalty=config.l2_penalty)
-        x0 = obj.pack(warm_start.transform, warm_start.threshold)
-    else:
-        obj = _Objective("personalized", X, i_idx, j_idx, labels, users, n_users,
-                         rank=rank, l2_penalty=config.l2_penalty)
-        x0 = obj.pack(warm_start.transform, warm_start.threshold, ones)
-    x, trace, iterations, termination, accuracy = _minimize(obj, x0, config, progress)
-    final_t, final_c, final_w = obj.unpack(x)
-    if final_w is None:
-        final_w = ones
-    model = MetricModel("personalized", final_t.copy(), final_c,
-                        list(pairs.user_ids), final_w.copy(),
-                        metadata={"feature_norm": config.feature_norm,
-                                  "rank": int(rank), "termination": termination})
-    report = TrainReport(trace, accuracy, time.perf_counter() - start,
-                         iterations, termination)
-    return model, report
+    config = replace(config, kind="low_rank", rank=warm_start.rank)
+    if not freeze_user_weights:
+        return _fit(config, "personalized", features, pairs, warm_start, progress)
+    model, report = train(config, features, pairs, warm_start, progress)
+    ones = np.ones((len(pairs.user_ids), model.rank))
+    return MetricModel("personalized", model.transform, model.threshold,
+                       list(pairs.user_ids), ones, model.metadata), report

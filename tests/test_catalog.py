@@ -1,6 +1,8 @@
 """File formats and core containers: round-trips, validation, and the
 error paths that keep bad data out of the pipeline."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,20 @@ def test_load_features_rejects_garbage(tmp_path):
     assert ":3:" in str(e.value)  # failure names the offending line
 
 
+def _smf1_header(n_items, n_features):
+    """A binary feature file that declares N x F but holds one 1-byte id and
+    8 payload bytes."""
+    return (b"SMF1" + struct.pack("<QQ", n_items, n_features)
+            + struct.pack("<I", 1) + b"a" + bytes(8))
+
+
+def _smm1_header(kind, n_features, rank):
+    """A model file whose header declares F x K but holds no transform."""
+    raw = kind.encode("ascii")
+    return (b"SMM1" + struct.pack("<II", 1, len(raw)) + raw
+            + struct.pack("<QQdI", n_features, rank, 1.0, 2) + b"{}")
+
+
 def test_load_features_binary_truncation(tmp_path, features):
     p = tmp_path / "f.bin"
     save_features(features, p, binary=True)
@@ -100,6 +116,11 @@ def test_load_features_binary_truncation(tmp_path, features):
     p.write_bytes(blob[:-7])
     with pytest.raises(DataError):
         load_features(p)
+    # Declared sizes far beyond the file are rejected before any read.
+    for n_items, n_features in ((1, 2**61), (1, 2**47), (2**47, 1)):
+        p.write_bytes(_smf1_header(n_items, n_features))
+        with pytest.raises(DataError):
+            load_features(p)
 
 
 def test_load_edges_canonicalizes_and_counts(tmp_path):
@@ -261,6 +282,13 @@ class TestMetricModel:
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(DataError):
             load_model(p)
+        # Declared sizes far beyond the file are rejected before any read.
+        for kind, n_features, rank in (("weighted_nn", 2**62, 2**62),
+                                       ("low_rank", 2**47, 1),
+                                       ("low_rank", 2**62, 4)):
+            p.write_bytes(_smm1_header(kind, n_features, rank))
+            with pytest.raises(DataError):
+                load_model(p)
 
     def test_model_trailing_bytes(self, tmp_path):
         rng = np.random.default_rng(7)

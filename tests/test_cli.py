@@ -4,11 +4,14 @@ byte-stable re-runs."""
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from stylemetric import cli
+from stylemetric.catalog import DataError
+from stylemetric.training import TrainConfig
 
 
 def run(*argv):
@@ -211,6 +214,24 @@ class TestExitCodes:
                                "--rank", 0, "--out", pipeline / "x")
         assert code == 1
 
+    def test_removed_optimizer_settings_are_rejected(self, pipeline, tmp_path, capsys):
+        """optimizer, initial_step and step_decay are gone: as config keys
+        they are unknown (exit 2), as flags they are usage errors (exit 1)."""
+        data, splits = pipeline / "data", pipeline / "splits"
+        train_args = ("train", "--features", data / "features.tsv",
+                      "--pairs", splits / "train.pairs", "--out", tmp_path / "o")
+        for key, flag, value in (("optimizer", "--optimizer", "gradient_ascent"),
+                                 ("initial_step", "--initial-step", "0.5"),
+                                 ("step_decay", "--step-decay", "0.5")):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            with pytest.raises(DataError, match="unknown config key"):
+                TrainConfig.from_file(cfg)
+            capsys.readouterr()
+            assert run(*train_args, "--config", cfg) == 2
+            assert "unknown config key" in capsys.readouterr().err
+            assert run_usage_error(*train_args, flag, value) == 1
+
     def test_missing_file_is_exit_2(self, tmp_path, capsys):
         assert run("split", "--features", tmp_path / "nope.tsv",
                    "--pairs", tmp_path / "also-nope.tsv",
@@ -219,10 +240,14 @@ class TestExitCodes:
 
     def test_corrupt_model_is_exit_2(self, pipeline, tmp_path):
         bad = tmp_path / "bad.model"
-        bad.write_bytes(b"not a model at all")
         data, splits = pipeline / "data", pipeline / "splits"
-        assert run("eval", "--features", data / "features.tsv",
-                   "--pairs", splits / "test.pairs", "--model", bad) == 2
+        # the second declares a weighted_nn transform of 2**62 floats and holds none
+        for blob in (b"not a model at all",
+                     b"SMM1" + struct.pack("<II", 1, 11) + b"weighted_nn"
+                     + struct.pack("<QQdI", 2**62, 2**62, 1.0, 2) + b"{}"):
+            bad.write_bytes(blob)
+            assert run("eval", "--features", data / "features.tsv",
+                       "--pairs", splits / "test.pairs", "--model", bad) == 2
 
     def test_unknown_item_is_exit_2(self, pipeline, tmp_path):
         data, splits = pipeline / "data", pipeline / "splits"

@@ -49,6 +49,18 @@ def test_embedding_roundtrip(tmp_path):
     assert np.array_equal(back.vectors, emb.vectors)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("#style two 2\na\t1.0\t2.0\n", ":1:"),
+    ("#style 2 2\na\t1.0\t2.0\nb\t3.0\tthree\n", ":3:"),
+])
+def test_load_embedding_rejects_malformed_numbers(tmp_path, text, where):
+    p = tmp_path / "emb.tsv"
+    p.write_text(text)
+    with pytest.raises(DataError) as e:
+        load_embedding(p)
+    assert where in str(e.value)
+
+
 class TestKMeans:
     def test_two_blobs_recovered_exactly(self):
         rng = np.random.default_rng(3)
