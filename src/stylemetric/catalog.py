@@ -5,27 +5,55 @@ strings; they are mapped to dense integer indices at load time and all numeric
 code downstream works on indices. Loaded structures are immutable by convention
 and safe to share across threads.
 
-File formats (text files are tab-separated, UTF-8):
+This module owns the mechanics of every file the program reads or writes:
+text files go through read_records, the ``#<tag> <N> <F>`` matrices through
+read_matrix / write_matrix, and every output through atomic_writer, which
+writes ``<path>.tmp`` and renames it over ``<path>``, so an output is either
+the old file or the whole new one. A corrupt or truncated input raises
+DataError, with ``path:line`` for text files.
+
+File formats (text files are tab-separated, UTF-8; '#' lines are comments
+where noted):
 
 * features:   ``#features <N> <F>`` header, then ``<item_id>\\t<v1>..<vF>``.
               Binary mirror: magic ``SMF1``, little-endian u64 N and F, an id
               table of u32-length-prefixed UTF-8 strings, then N*F f64 values
               row-major.
-* edges:      ``<src>\\t<dst>\\t<class>`` per line.
-* triples:    ``<item_i>\\t<item_j>\\t<user>`` per line.
-* categories: ``<item_id>\\t<category_id>`` per line.
+* style vectors (stylespace): the features layout under a ``#style <N> <K>``
+              header, one embedded item per line.
+* edges:      ``<src>\\t<dst>\\t<class>`` per line; '#' comments.
+* triples:    ``<item_i>\\t<item_j>\\t<user>`` per line; '#' comments.
+* categories: ``<item_id>\\t<category_id>`` per line; '#' comments.
+* pairs (sampling): ``#partition <tag>`` header, then
+              ``<i>\\t<j>\\t<related|unrelated>[\\t<user>]``; '#' comments.
+* id lists (cli): one item id per line; '#' comments.
+* clustering (stylespace, written only): ``<item_id>\\t<cluster>`` per item,
+              then ``#centroid\\t<c>\\t<v1>..<vK>`` per cluster and
+              ``#objective\\t<value>``.
+* path (stylespace, written only): ``#total\\t<cost>``, then
+              ``<item_id>\\t<hop cost>`` per item along the path.
 * model:      magic ``SMM1``, u32 version, then header + f64 parameter blocks
               (see save_model).
+* written only by cli: ``representatives.tsv``
+              (``<cluster>\\t<position>\\t<item_id>``), ``train_log.tsv``
+              (``<iteration>\\t<log-likelihood>\\t<accuracy>``), the reports
+              of eval, recommend, build-outfit, score-outfit and
+              makeover-delta (the lines the command prints), and the JSON
+              files ``run_manifest.json``, ``train_report.json`` and
+              ``synth_info.json`` (write_json).
 """
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 RELATION_CLASSES = ("also_viewed", "buy_after_viewing", "also_bought", "bought_together")
+FEATURE_NORMS = ("none", "l2_unit")
 
 _FEATURE_MAGIC = b"SMF1"
 _MODEL_MAGIC = b"SMM1"
@@ -142,13 +170,6 @@ class RelationGraph:
         """Unordered endpoint pairs, classes collapsed."""
         return {(a, b) for a, b, _ in self.edges}
 
-    def validate_endpoints(self, features: FeatureMatrix):
-        for a, b, _ in self.edges:
-            if a not in features:
-                raise DataError(f"edge endpoint {a!r} missing from features")
-            if b not in features:
-                raise DataError(f"edge endpoint {b!r} missing from features")
-
 
 @dataclass
 class UserTripleSet:
@@ -165,11 +186,6 @@ class UserTripleSet:
 
     def user_ids(self) -> list[str]:
         return sorted({u for _, _, u in self.triples})
-
-    def validate_endpoints(self, features: FeatureMatrix):
-        for a, b, _ in self.triples:
-            if a not in features or b not in features:
-                raise DataError(f"triple endpoint missing from features: ({a!r}, {b!r})")
 
 
 class CategoryMap:
@@ -229,6 +245,9 @@ class MetricModel:
             raise DataError("non-finite model parameter")
         if not np.isfinite(self.threshold):
             raise DataError("non-finite threshold")
+        if not isinstance(self.metadata, dict) or self.feature_norm not in FEATURE_NORMS:
+            raise DataError("model metadata must be an object whose feature_norm is "
+                            + " or ".join(FEATURE_NORMS))
         if (self.user_ids is None) != (self.user_weights is None):
             raise DataError("user_ids and user_weights must be supplied together")
         if self.user_weights is not None:
@@ -287,77 +306,132 @@ class MetricModel:
 
 
 # ---------------------------------------------------------------------------
-# feature files
+# reading and writing files
 
 
-def save_features(features: FeatureMatrix, path, binary: bool = False):
-    if binary:
-        with open(path, "wb") as f:
-            f.write(_FEATURE_MAGIC)
-            f.write(struct.pack("<QQ", features.n_items, features.n_features))
-            for item in features.item_ids:
-                raw = item.encode("utf-8")
-                f.write(struct.pack("<I", len(raw)))
-                f.write(raw)
-            f.write(features.values.tobytes(order="C"))
-        return
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"#features {features.n_items} {features.n_features}\n")
-        for item, row in zip(features.item_ids, features.values):
+@contextmanager
+def atomic_writer(path, binary=False):
+    """A file opened for writing whose contents replace path only when the
+    with-block completes; if the block raises, path is left as it was.
+
+    The data goes to <path>.tmp, which os.replace then renames over path.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_json(path, obj):
+    """obj as JSON indented by 2 with sorted keys and a final newline."""
+    with atomic_writer(path) as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def read_records(path, n_fields=None, header=None, comments=True):
+    """Yield (line number, fields) for each record of a tab-separated UTF-8 file.
+
+    Blank lines are skipped, and so are lines starting with '#' when comments
+    is true. n_fields, when given, is the number of fields every record must
+    have, or a tuple of the numbers allowed. header, when given, is the usage
+    of a required first line, such as '#features <N> <F>': the line must hold
+    as many whitespace-separated words and start with the same tag, and its
+    words after the tag are yielded first, as (1, words). Every error is a
+    DataError that names the path and line.
+    """
+    usage = header.split() if header else None
+    counts = (n_fields,) if isinstance(n_fields, int) else n_fields
+    lineno = 0
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
+            if lineno == 1 and usage:
+                words = line.split()
+                if len(words) != len(usage) or words[0] != usage[0]:
+                    raise DataError(f"{path}:1: expected '{header}' header")
+                yield 1, words[1:]
+            elif line and not (comments and line[0] == "#"):
+                fields = line.split("\t")
+                if counts and len(fields) not in counts:
+                    raise DataError(
+                        f"{path}:{lineno}: expected {' or '.join(map(str, counts))} "
+                        f"tab-separated fields, got {len(fields)}"
+                    )
+                yield lineno, fields
+    if usage and lineno == 0:
+        raise DataError(f"{path}:1: expected '{header}' header")
+
+
+def _float_array(buf, shape, start, where):
+    """The float64 values of buf from byte start on, in the given shape."""
+    try:
+        return np.frombuffer(buf, "<f8", math.prod(shape), start).reshape(shape)
+    except ValueError:
+        raise DataError(f"{where}: declared shape {shape} is too large") from None
+
+
+def read_matrix(path, tag):
+    """(ids, (N, F) float64 values) of a text matrix under '#<tag> <N> <F>'.
+
+    Each row becomes its own float64 array as it is read, so the peak memory
+    stays near the size of the result. Raises DataError with the offending
+    line on a bad header, duplicate id, wrong value count, or a value that
+    is not a finite number.
+    """
+    records = read_records(path, header=f"#{tag} <N> <F>", comments=False)
+    _, header = next(records)
+    try:
+        n_rows, n_cols = (int(v) for v in header)
+    except ValueError:
+        raise DataError(f"{path}:1: malformed {tag} header") from None
+    if n_rows < 0 or n_cols < 0:
+        raise DataError(f"{path}:1: negative size in {tag} header")
+    ids: list[str] = []
+    seen: set = set()
+    rows = []
+    for lineno, fields in records:
+        item = fields[0]
+        if item in seen:
+            raise DataError(f"{path}:{lineno}: duplicate item id {item!r}")
+        if len(fields) - 1 != n_cols:
+            raise DataError(f"{path}:{lineno}: expected {n_cols} values, got {len(fields) - 1}")
+        try:
+            row = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: unparseable value") from None
+        if not np.all(np.isfinite(row)):
+            raise DataError(f"{path}:{lineno}: non-finite value")
+        seen.add(item)
+        ids.append(item)
+        rows.append(row)
+    if len(ids) != n_rows:
+        raise DataError(f"{path}: header says {n_rows} items but file has {len(ids)}")
+    values = np.vstack(rows) if rows else _float_array(b"", (0, n_cols), 0, path)
+    return ids, values
+
+
+def write_matrix(path, tag, ids, values):
+    """The text matrix that read_matrix(path, tag) reads back exactly."""
+    with atomic_writer(path) as f:
+        f.write(f"#{tag} {len(ids)} {values.shape[1]}\n")
+        for item, row in zip(ids, values):
             f.write(item + "\t" + "\t".join(_fmt(v) for v in row) + "\n")
 
 
-def load_features(path) -> FeatureMatrix:
-    """Load a feature file (text or binary mirror, sniffed by magic bytes).
-
-    Raises DataError with the offending line number on dimension mismatch,
-    duplicate item id, or non-finite values.
-    """
-    with open(path, "rb") as f:
-        magic = f.read(4)
-    if magic == _FEATURE_MAGIC:
-        return _load_features_binary(path)
-    return _load_features_text(path)
-
-
-def _load_features_text(path) -> FeatureMatrix:
-    item_ids: list[str] = []
-    seen: set = set()
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline()
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != "#features":
-            raise DataError(f"{path}:1: expected '#features <N> <F>' header")
-        try:
-            n_items, n_features = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise DataError(f"{path}:1: malformed feature header") from None
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            item = fields[0]
-            if item in seen:
-                raise DataError(f"{path}:{lineno}: duplicate item id {item!r}")
-            if len(fields) - 1 != n_features:
-                raise DataError(
-                    f"{path}:{lineno}: expected {n_features} values, got {len(fields) - 1}"
-                )
-            try:
-                row = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparseable feature value") from None
-            if not np.all(np.isfinite(row)):
-                raise DataError(f"{path}:{lineno}: non-finite feature value")
-            seen.add(item)
-            item_ids.append(item)
-            rows.append(row)
-    if len(item_ids) != n_items:
-        raise DataError(f"{path}: header says {n_items} items but file has {len(item_ids)}")
-    values = np.vstack(rows) if rows else np.zeros((0, n_features))
-    return FeatureMatrix(item_ids, values)
+def _write_strings(f, strings):
+    """u32-length-prefixed UTF-8 strings, as _Reader.strings reads them."""
+    for text in strings:
+        raw = text.encode("utf-8")
+        f.write(_U32.pack(len(raw)))
+        f.write(raw)
 
 
 class _Reader:
@@ -391,6 +465,13 @@ class _Reader:
     def unpack(self, fmt, field):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
 
+    def decode(self, raw, field):
+        """raw as UTF-8 text; every string of the file is read through here."""
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{self.path}: {self.what} {field} is not UTF-8") from None
+
     def strings(self, count, field):
         """count u32-length-prefixed UTF-8 strings."""
         buf, pos, size, out = self.buf, self.pos, len(self.buf), []
@@ -401,20 +482,47 @@ class _Reader:
             pos += 4
             if length > size - pos:
                 raise self._truncated(field)
-            out.append(buf[pos:pos + length].decode("utf-8"))
+            out.append(self.decode(buf[pos:pos + length], field))
             pos += length
         self.pos = pos
         return out
 
     def floats(self, shape, field):
         """A float64 array of the given shape, copied out of the file."""
-        count = math.prod(shape)
-        start = self._advance(count * 8, field)
-        return np.frombuffer(self.buf, "<f8", count, start).reshape(shape).copy()
+        start = self._advance(math.prod(shape) * 8, field)
+        return _float_array(self.buf, shape, start, f"{self.path}: {self.what} {field}").copy()
 
     def finish(self):
         if self.pos != len(self.buf):
             raise DataError(f"{self.path}: trailing bytes after {self.what} payload")
+
+
+# ---------------------------------------------------------------------------
+# feature files
+
+
+def save_features(features: FeatureMatrix, path, binary: bool = False):
+    if not binary:
+        write_matrix(path, "features", features.item_ids, features.values)
+        return
+    with atomic_writer(path, binary=True) as f:
+        f.write(_FEATURE_MAGIC)
+        f.write(struct.pack("<QQ", features.n_items, features.n_features))
+        _write_strings(f, features.item_ids)
+        f.write(features.values.tobytes(order="C"))
+
+
+def load_features(path) -> FeatureMatrix:
+    """Load a feature file (text or binary mirror, sniffed by magic bytes).
+
+    Raises DataError with the offending line number on dimension mismatch,
+    duplicate item id, or non-finite values.
+    """
+    with open(path, "rb") as f:
+        magic = f.read(4)
+    if magic == _FEATURE_MAGIC:
+        return _load_features_binary(path)
+    return FeatureMatrix(*read_matrix(path, "features"))
 
 
 def _load_features_binary(path) -> FeatureMatrix:
@@ -447,87 +555,63 @@ def load_edges(path, class_filter=None, features: FeatureMatrix | None = None) -
     dropped_self = 0
     duplicates = 0
     reversed_count = 0
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}:{lineno}: expected '<src>\\t<dst>\\t<class>'")
-            src, dst, cls = fields
-            if cls not in RELATION_CLASSES:
-                raise DataError(f"{path}:{lineno}: unknown relation class {cls!r}")
-            if class_filter is not None and cls not in class_filter:
-                continue
-            if src == dst:
-                dropped_self += 1
-                continue
-            if features is not None:
-                if src not in features:
-                    raise DataError(f"{path}:{lineno}: endpoint {src!r} missing from features")
-                if dst not in features:
-                    raise DataError(f"{path}:{lineno}: endpoint {dst!r} missing from features")
-            if src > dst:
-                reversed_count += 1
-            edge = canonical_pair(src, dst) + (cls,)
-            if edge in edges:
-                duplicates += 1
-            else:
-                edges.add(edge)
+    for lineno, (src, dst, cls) in read_records(path, 3):
+        if cls not in RELATION_CLASSES:
+            raise DataError(f"{path}:{lineno}: unknown relation class {cls!r}")
+        if class_filter is not None and cls not in class_filter:
+            continue
+        if src == dst:
+            dropped_self += 1
+            continue
+        if features is not None:
+            if src not in features:
+                raise DataError(f"{path}:{lineno}: endpoint {src!r} missing from features")
+            if dst not in features:
+                raise DataError(f"{path}:{lineno}: endpoint {dst!r} missing from features")
+        if src > dst:
+            reversed_count += 1
+        edge = canonical_pair(src, dst) + (cls,)
+        if edge in edges:
+            duplicates += 1
+        else:
+            edges.add(edge)
     return RelationGraph(edges, dropped_self, duplicates, reversed_count)
 
 
 def save_edges(graph: RelationGraph, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_writer(path) as f:
         for a, b, cls in sorted(graph.edges):
             f.write(f"{a}\t{b}\t{cls}\n")
 
 
 def load_triples(path, features: FeatureMatrix | None = None) -> UserTripleSet:
     triples: set = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}:{lineno}: expected '<item_i>\\t<item_j>\\t<user>'")
-            a, b, user = fields
-            if a == b:
-                raise DataError(f"{path}:{lineno}: self-pair in user triple")
-            if features is not None and (a not in features or b not in features):
-                raise DataError(f"{path}:{lineno}: triple endpoint missing from features")
-            triples.add(canonical_pair(a, b) + (user,))
+    for lineno, (a, b, user) in read_records(path, 3):
+        if a == b:
+            raise DataError(f"{path}:{lineno}: self-pair in user triple")
+        if features is not None and (a not in features or b not in features):
+            raise DataError(f"{path}:{lineno}: triple endpoint missing from features")
+        triples.add(canonical_pair(a, b) + (user,))
     return UserTripleSet(triples)
 
 
 def save_triples(triples: UserTripleSet, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_writer(path) as f:
         for a, b, user in sorted(triples.triples):
             f.write(f"{a}\t{b}\t{user}\n")
 
 
 def load_categories(path) -> CategoryMap:
     mapping: dict = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError(f"{path}:{lineno}: expected '<item_id>\\t<category_id>'")
-            item, cat = fields
-            if item in mapping and mapping[item] != cat:
-                raise DataError(f"{path}:{lineno}: conflicting category for {item!r}")
-            mapping[item] = cat
+    for lineno, (item, cat) in read_records(path, 2):
+        if item in mapping and mapping[item] != cat:
+            raise DataError(f"{path}:{lineno}: conflicting category for {item!r}")
+        mapping[item] = cat
     return CategoryMap(mapping)
 
 
 def save_categories(categories: CategoryMap, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_writer(path) as f:
         for item in sorted(categories._mapping):
             f.write(f"{item}\t{categories._mapping[item]}\n")
 
@@ -539,7 +623,7 @@ def save_categories(categories: CategoryMap, path):
 def save_model(model: MetricModel, path):
     """Write a model file. save_model / load_model round-trip bit-exactly."""
     meta = json.dumps(model.metadata, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_writer(path, binary=True) as f:
         f.write(_MODEL_MAGIC)
         f.write(struct.pack("<I", _MODEL_VERSION))
         kind_raw = model.kind.encode("ascii")
@@ -554,10 +638,7 @@ def save_model(model: MetricModel, path):
         f.write(struct.pack("<B", 1 if has_users else 0))
         if has_users:
             f.write(struct.pack("<Q", len(model.user_ids)))
-            for user in model.user_ids:
-                raw = user.encode("utf-8")
-                f.write(struct.pack("<I", len(raw)))
-                f.write(raw)
+            _write_strings(f, model.user_ids)
             f.write(model.user_weights.tobytes(order="C"))
 
 
@@ -569,9 +650,12 @@ def load_model(path) -> MetricModel:
     if version != _MODEL_VERSION:
         raise DataError(f"{path}: model version {version} not supported")
     (kind_len,) = r.unpack("<I", "kind")
-    kind = r.take(kind_len, "kind").decode("ascii")
+    kind = r.decode(r.take(kind_len, "kind"), "kind")
     n_features, rank, threshold, meta_len = r.unpack("<QQdI", "header")
-    metadata = json.loads(r.take(meta_len, "metadata").decode("utf-8"))
+    try:
+        metadata = json.loads(r.decode(r.take(meta_len, "metadata"), "metadata"))
+    except (ValueError, RecursionError):
+        raise DataError(f"{path}: model metadata is not valid JSON") from None
     if kind == "weighted_nn":
         if rank != n_features:
             raise DataError(f"{path}: weighted_nn requires K == F")

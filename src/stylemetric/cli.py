@@ -6,22 +6,22 @@ measurement (eval), and style-space applications (embed, cluster, navigate,
 recommend, build-outfit, score-outfit, makeover-delta).
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error. Every
-command that writes files also writes a run_manifest.json next to them with
-input digests, the resolved configuration, and wall time, so a run can be
-reproduced exactly.
+output replaces its file atomically, and every command that writes files
+also writes a run_manifest.json next to them with input digests, the parsed
+arguments, and wall time, so a run can be reproduced exactly.
 """
 
 import argparse
 import hashlib
 import io
-import json
 import os
 import sys
 import time
-from dataclasses import replace
 
-from .catalog import (DataError, load_edges, load_features, load_model,
-                      save_edges, save_features, save_model, save_triples)
+from .catalog import (FEATURE_NORMS, DataError, atomic_writer, load_edges,
+                      load_features, load_model, load_triples, read_records,
+                      save_edges, save_features, save_model, save_triples,
+                      write_json)
 from .evaluation import EVAL_TSV_HEADER, evaluate
 from .recommend import (build_outfit, makeover_delta, outfit_coherence,
                         rank_candidates)
@@ -77,12 +77,7 @@ def _write_manifest(out_dir, subcommand, args, inputs, outputs, wall_time):
         "seed": getattr(args, "seed", None),
         "wall_time": wall_time,
     }
-    path = os.path.join(out_dir, "run_manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
 
 
 def _ensure_out(args):
@@ -95,36 +90,28 @@ def _write_optional(args, name, text):
     if not args.out:
         return []
     path = os.path.join(_ensure_out(args), name)
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_writer(path) as f:
         f.write(text)
     return [path]
 
 
 def _read_id_list(path):
-    items = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                items.append(line)
-    return items
+    """Item ids, one per line; surrounding whitespace is ignored."""
+    items = (fields[0].strip() for _, fields in read_records(path, 1))
+    return [item for item in items if item]
 
 
 def _train_config_from_args(args) -> TrainConfig:
-    if getattr(args, "config", None):
-        config = TrainConfig.from_file(args.config)
-    else:
-        config = TrainConfig()
-    overrides = {}
+    """TrainConfig from the flags; a flag left unset keeps the default."""
+    settings = {}
     for flag, field in (("kind", "kind"), ("rank", "rank"),
                         ("max_iter", "max_iterations"), ("tolerance", "tolerance"),
                         ("init_scale", "init_scale"), ("feature_norm", "feature_norm"),
                         ("c0", "c0"), ("l2_penalty", "l2_penalty")):
         value = getattr(args, flag, None)
         if value is not None:
-            overrides[field] = value
-    overrides["seed"] = args.seed
-    config = replace(config, **overrides)
+            settings[field] = value
+    config = TrainConfig(seed=args.seed, **settings)
     config.validate()
     return config
 
@@ -140,24 +127,19 @@ def _train_outputs(args, fit, *extra_inputs):
     model_path = os.path.join(out, "model.bin")
     save_model(model, model_path)
     report_path = os.path.join(out, "train_report.json")
-    with open(report_path, "w", encoding="utf-8") as f:
-        json.dump({
-            "trace": report.trace,
-            "train_accuracy": report.train_accuracy,
-            "iterations": report.iterations,
-            "termination": report.termination,
-        }, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(report_path, {
+        "trace": report.trace,
+        "train_accuracy": report.train_accuracy,
+        "iterations": report.iterations,
+        "termination": report.termination,
+    })
     log_path = os.path.join(out, "train_log.tsv")
-    with open(log_path, "w", encoding="utf-8") as f:
+    with atomic_writer(log_path) as f:
         f.write(log.getvalue())
     print(f"final log-likelihood {report.trace[-1]:.6f}, "
           f"train accuracy {report.train_accuracy:.4f}, "
           f"{report.iterations} iterations ({report.termination})")
-    inputs = [args.features, args.pairs, *extra_inputs]
-    if args.config:
-        inputs.append(args.config)
-    return inputs, [model_path, report_path, log_path]
+    return [args.features, args.pairs, *extra_inputs], [model_path, report_path, log_path]
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +166,7 @@ def _cmd_synth(args):
         triples_path = os.path.join(out, "triples.tsv")
         save_triples(result.triples, triples_path)
         outputs.append(triples_path)
-    with open(info_path, "w", encoding="utf-8") as f:
-        json.dump(result.info, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(info_path, result.info)
     return [], outputs
 
 
@@ -196,7 +176,6 @@ def _cmd_sample(args):
     class_filter = args.classes.split(",") if args.classes else None
     graph = load_edges(args.edges, class_filter, features)
     if args.triples:
-        from .catalog import load_triples
         triples = load_triples(args.triples, features)
         pairs = build_user_dataset(triples, features, args.seed)
         inputs = [args.features, args.edges, args.triples]
@@ -273,7 +252,7 @@ def _cmd_cluster(args):
     if args.representatives:
         reps = representatives(clustering, emb, args.representatives)
         rep_path = os.path.join(out, "representatives.tsv")
-        with open(rep_path, "w", encoding="utf-8") as f:
+        with atomic_writer(rep_path) as f:
             for cluster in sorted(reps):
                 for position, item in enumerate(reps[cluster]):
                     f.write(f"{cluster}\t{position}\t{item}\n")
@@ -357,14 +336,12 @@ def _add_common(parser, out_required=True):
 
 
 def _add_train_flags(parser):
-    parser.add_argument("--config", default=None,
-                        help="key=value training config file; flags override it")
     parser.add_argument("--rank", type=_positive_int, default=None)
     parser.add_argument("--max-iter", dest="max_iter", type=_nonneg_int, default=None)
     parser.add_argument("--tolerance", type=float, default=None)
     parser.add_argument("--init-scale", dest="init_scale", type=float, default=None)
     parser.add_argument("--feature-norm", dest="feature_norm",
-                        choices=("none", "l2_unit"), default=None)
+                        choices=FEATURE_NORMS, default=None)
     parser.add_argument("--c0", type=float, default=None)
     parser.add_argument("--l2-penalty", dest="l2_penalty", type=float, default=None)
 

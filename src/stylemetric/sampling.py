@@ -10,7 +10,8 @@ Pair files are tab-separated with item id strings, one pair per line
 
 import numpy as np
 
-from .catalog import DataError, FeatureMatrix, RelationGraph, UserTripleSet
+from .catalog import (DataError, FeatureMatrix, RelationGraph, UserTripleSet,
+                      atomic_writer, read_records)
 
 PARTITIONS = ("train", "validation", "test", "all")
 TRAIN_POSITIVE_CAP = 2_000_000
@@ -270,7 +271,7 @@ def build_user_dataset(triples: UserTripleSet, features: FeatureMatrix, seed: in
 
 
 def save_pairs(pairs: LabeledPairSet, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_writer(path) as f:
         f.write(f"#partition {pairs.partition}\n")
         for row in range(len(pairs.pos_pairs)):
             i, j = pairs.pos_pairs[row]
@@ -288,29 +289,18 @@ def save_pairs(pairs: LabeledPairSet, path):
 
 def load_pairs(path, features: FeatureMatrix) -> LabeledPairSet:
     """Read a pair file back into index space against a feature matrix."""
-    partition = None
+    records = read_records(path, (3, 4), header="#partition <tag>")
+    _, (partition,) = next(records)
     rows = []  # (i, j, related, user or None)
-    with open(path, "r", encoding="utf-8") as f:
-        first = f.readline().rstrip("\n")
-        parts = first.split()
-        if len(parts) != 2 or parts[0] != "#partition":
-            raise DataError(f"{path}:1: expected '#partition <tag>' header")
-        partition = parts[1]
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (3, 4):
-                raise DataError(f"{path}:{lineno}: expected 3 or 4 tab-separated fields")
-            a, b, label = fields[0], fields[1], fields[2]
-            if label not in ("related", "unrelated"):
-                raise DataError(f"{path}:{lineno}: unknown label {label!r}")
-            ia, ib = features.index_of(a), features.index_of(b)
-            if ia == ib:
-                raise DataError(f"{path}:{lineno}: self-pair")
-            user = fields[3] if len(fields) == 4 else None
-            rows.append((min(ia, ib), max(ia, ib), label == "related", user))
+    for lineno, fields in records:
+        a, b, label = fields[0], fields[1], fields[2]
+        if label not in ("related", "unrelated"):
+            raise DataError(f"{path}:{lineno}: unknown label {label!r}")
+        ia, ib = features.index_of(a), features.index_of(b)
+        if ia == ib:
+            raise DataError(f"{path}:{lineno}: self-pair")
+        user = fields[3] if len(fields) == 4 else None
+        rows.append((min(ia, ib), max(ia, ib), label == "related", user))
     has_users = any(r[3] is not None for r in rows)
     if has_users and not all(r[3] is not None for r in rows):
         raise DataError(f"{path}: user column present on some lines but not all")

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import DataError, FeatureMatrix, MetricModel
+from .catalog import (DataError, FeatureMatrix, MetricModel, atomic_writer,
+                      read_matrix, write_matrix)
 from .metric import _rowwise_sqnorm, project_rows
 
 _ASSIGN_BLOCK = 2048
@@ -236,42 +237,15 @@ def navigate(emb: StyleEmbedding, source: str, target: str, knn_k: int = 10,
 
 
 def save_embedding(emb: StyleEmbedding, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"#style {emb.n_items} {emb.rank}\n")
-        for item, row in zip(emb.item_ids, emb.vectors):
-            f.write(item + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+    write_matrix(path, "style", emb.item_ids, emb.vectors)
 
 
 def load_embedding(path) -> StyleEmbedding:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 3 or header[0] != "#style":
-            raise DataError(f"{path}:1: expected '#style <N> <K>' header")
-        try:
-            n, k = int(header[1]), int(header[2])
-        except ValueError:
-            raise DataError(f"{path}:1: malformed style header") from None
-        item_ids = []
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) - 1 != k:
-                raise DataError(f"{path}:{lineno}: expected {k} coordinates")
-            try:
-                rows.append([float(v) for v in fields[1:]])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparseable coordinate") from None
-            item_ids.append(fields[0])
-    if len(item_ids) != n:
-        raise DataError(f"{path}: header says {n} items, file has {len(item_ids)}")
-    return StyleEmbedding(item_ids, np.array(rows, dtype=np.float64).reshape(n, k))
+    return StyleEmbedding(*read_matrix(path, "style"))
 
 
 def save_clustering(clustering: Clustering, emb: StyleEmbedding, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_writer(path) as f:
         for item, cluster in zip(emb.item_ids, clustering.assignment):
             f.write(f"{item}\t{int(cluster)}\n")
         for idx, row in enumerate(clustering.centroids):
@@ -280,7 +254,7 @@ def save_clustering(clustering: Clustering, emb: StyleEmbedding, path):
 
 
 def save_path(path_items, total_cost, hops, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_writer(path) as f:
         f.write(f"#total\t{repr(float(total_cost))}\n")
         f.write(f"{path_items[0]}\t0.0\n")
         for item, hop in zip(path_items[1:], hops):

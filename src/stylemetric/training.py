@@ -36,11 +36,11 @@ the inputs.
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import DataError, MetricModel
+from .catalog import FEATURE_NORMS, DataError, MetricModel
 from .metric import pair_distances_style, pair_terms, project_rows, sigmoid, softplus
 from .sampling import LabeledPairSet
 
@@ -95,48 +95,12 @@ class TrainConfig:
             raise DataError("tolerance must be positive")
         if self.init_scale is not None and self.init_scale <= 0:
             raise DataError("init_scale must be positive")
-        if self.feature_norm not in ("none", "l2_unit"):
+        if self.feature_norm not in FEATURE_NORMS:
             raise DataError(f"unknown feature normalization: {self.feature_norm!r}")
         if self.max_iterations < 0:
             raise DataError("max_iterations must be >= 0")
         if self.l2_penalty < 0:
             raise DataError("l2_penalty must be >= 0")
-
-    @classmethod
-    def from_file(cls, path) -> "TrainConfig":
-        """Read a plain ``key = value`` config file ('#' starts a comment)."""
-        known = {f.name: f for f in fields(cls)}
-        values = {}
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise DataError(f"{path}:{lineno}: expected 'key = value'")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in known:
-                    raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = _coerce_config_value(key, raw, path, lineno)
-        config = cls(**values)
-        config.validate()
-        return config
-
-
-def _coerce_config_value(key, raw, path, lineno):
-    optional_float = {"init_scale", "c0"}
-    int_keys = {"rank", "max_iterations", "seed"}
-    float_keys = {"tolerance", "l2_penalty"}
-    try:
-        if key in optional_float:
-            return None if raw.lower() in ("none", "null", "") else float(raw)
-        if key in int_keys:
-            return int(raw)
-        if key in float_keys:
-            return float(raw)
-    except ValueError:
-        raise DataError(f"{path}:{lineno}: bad value {raw!r} for {key!r}") from None
-    return raw
 
 
 @dataclass

@@ -6,12 +6,15 @@ import struct
 import numpy as np
 import pytest
 
+from stylemetric import cli
 from stylemetric.catalog import (CategoryMap, DataError, FeatureMatrix,
                                  MetricModel, RelationGraph, UserTripleSet,
                                  canonical_pair, load_categories, load_edges,
                                  load_features, load_model, load_triples,
                                  save_categories, save_edges, save_features,
                                  save_model, save_triples)
+from stylemetric.sampling import load_pairs
+from stylemetric.stylespace import load_embedding
 
 
 @pytest.fixture
@@ -93,6 +96,44 @@ def test_load_features_rejects_garbage(tmp_path):
     with pytest.raises(DataError) as e:
         load_features(p)
     assert ":3:" in str(e.value)  # failure names the offending line
+    # sizes no array can have, on a header with no rows to check them against
+    for text in ("#features -1 2\n", "#features 0 -2\n", f"#features 0 {2**64}\n"):
+        p.write_text(text)
+        with pytest.raises(DataError):
+            load_features(p)
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_features, "#features 1 1\n\xff\t1.0\n"),
+    (load_edges, "a\tb\talso_bought\n\xff\tb\talso_bought\n"),
+    (load_triples, "a\tb\tu1\n\xff\tb\tu1\n"),
+    (load_categories, "a\ttop\n\xff\ttop\n"),
+    (lambda p: load_pairs(p, FeatureMatrix(["a", "b"], np.zeros((2, 1)))),
+     "#partition all\n\xff\tb\trelated\n"),
+    (load_embedding, "#style 1 1\n\xff\t1.0\n"),
+    (cli._read_id_list, "a\n\xff\n"),
+], ids=["features", "edges", "triples", "categories", "pairs", "embedding", "id_list"])
+def test_text_loaders_reject_bytes_that_are_not_utf8(tmp_path, load, text):
+    p = tmp_path / "bad.tsv"
+    p.write_bytes(text.encode("latin-1"))
+    with pytest.raises(DataError) as e:
+        load(p)
+    assert ":2:" in str(e.value)
+
+
+def test_failed_write_leaves_the_old_file(tmp_path, features):
+    """An id that is not a string fails each writer after it has written
+    part of the file; the file already there must survive unchanged."""
+    broken = FeatureMatrix(features.item_ids[:4] + [4] + features.item_ids[5:],
+                           features.values)
+    for binary, error in ((False, TypeError), (True, AttributeError)):
+        p = tmp_path / f"f-{binary}.out"
+        save_features(features, p, binary=binary)
+        before = p.read_bytes()
+        with pytest.raises(error):
+            save_features(broken, p, binary=binary)
+        assert p.read_bytes() == before
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["f-False.out", "f-True.out"]
 
 
 def _smf1_header(n_items, n_features):
@@ -109,6 +150,28 @@ def _smm1_header(kind, n_features, rank):
             + struct.pack("<QQdI", n_features, rank, 1.0, 2) + b"{}")
 
 
+def _smf1_one_id(raw_id):
+    """A 1 x 1 binary feature file whose one id is raw_id."""
+    return (b"SMF1" + struct.pack("<QQ", 1, 1) + struct.pack("<I", len(raw_id))
+            + raw_id + struct.pack("<d", 1.0))
+
+
+def _smm1_low_rank(kind=b"low_rank", metadata=b"{}"):
+    """A 2 x 1 low_rank model file with the given raw kind and metadata."""
+    return (b"SMM1" + struct.pack("<II", 1, len(kind)) + kind
+            + struct.pack("<QQdI", 2, 1, 1.0, len(metadata)) + metadata
+            + struct.pack("<ddB", 0.5, -0.5, 0))
+
+
+def test_load_features_binary_rejects_an_id_that_is_not_utf8(tmp_path):
+    p = tmp_path / "f.bin"
+    p.write_bytes(_smf1_one_id(b"a"))
+    assert load_features(p).item_ids == ["a"]
+    p.write_bytes(_smf1_one_id(b"\xff"))
+    with pytest.raises(DataError):
+        load_features(p)
+
+
 def test_load_features_binary_truncation(tmp_path, features):
     p = tmp_path / "f.bin"
     save_features(features, p, binary=True)
@@ -116,8 +179,9 @@ def test_load_features_binary_truncation(tmp_path, features):
     p.write_bytes(blob[:-7])
     with pytest.raises(DataError):
         load_features(p)
-    # Declared sizes far beyond the file are rejected before any read.
-    for n_items, n_features in ((1, 2**61), (1, 2**47), (2**47, 1)):
+    # Declared sizes far beyond the file are rejected before any read, and
+    # so is an empty payload of a shape no array can have.
+    for n_items, n_features in ((1, 2**61), (1, 2**47), (2**47, 1), (0, 2**62)):
         p.write_bytes(_smf1_header(n_items, n_features))
         with pytest.raises(DataError):
             load_features(p)
@@ -282,13 +346,32 @@ class TestMetricModel:
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(DataError):
             load_model(p)
-        # Declared sizes far beyond the file are rejected before any read.
+        # Declared sizes far beyond the file are rejected before any read,
+        # and so is an empty transform of a shape no array can have.
         for kind, n_features, rank in (("weighted_nn", 2**62, 2**62),
                                        ("low_rank", 2**47, 1),
-                                       ("low_rank", 2**62, 4)):
+                                       ("low_rank", 2**62, 4),
+                                       ("low_rank", 0, 2**62)):
             p.write_bytes(_smm1_header(kind, n_features, rank))
             with pytest.raises(DataError):
                 load_model(p)
+
+    @pytest.mark.parametrize("kind, metadata", [
+        (b"low_r\xe9nk", b"{}"),
+        ("löw_rank".encode(), b"{}"),
+        (b"low_rank", b'{"\xff": 1}'),
+        (b"low_rank", b"[]"),
+        (b"low_rank", b"{not json"),
+        (b"low_rank", b'{"feature_norm": "zzz"}'),
+    ], ids=["kind_not_utf8", "kind_not_ascii", "metadata_not_utf8",
+            "metadata_not_an_object", "metadata_not_json", "unknown_feature_norm"])
+    def test_model_rejects_bad_kind_or_metadata(self, tmp_path, kind, metadata):
+        p = tmp_path / "m.bin"
+        p.write_bytes(_smm1_low_rank())
+        assert load_model(p).feature_norm == "none"
+        p.write_bytes(_smm1_low_rank(kind, metadata))
+        with pytest.raises(DataError):
+            load_model(p)
 
     def test_model_trailing_bytes(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from stylemetric import cli
-from stylemetric.catalog import DataError
-from stylemetric.training import TrainConfig
 
 
 def run(*argv):
@@ -214,22 +212,18 @@ class TestExitCodes:
                                "--rank", 0, "--out", pipeline / "x")
         assert code == 1
 
-    def test_removed_optimizer_settings_are_rejected(self, pipeline, tmp_path, capsys):
-        """optimizer, initial_step and step_decay are gone: as config keys
-        they are unknown (exit 2), as flags they are usage errors (exit 1)."""
+    def test_removed_optimizer_settings_are_rejected(self, pipeline, tmp_path):
+        """The optimizer and step flags and the config-file flag are gone:
+        each is a usage error (exit 1)."""
         data, splits = pipeline / "data", pipeline / "splits"
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("rank = 2\n")
         train_args = ("train", "--features", data / "features.tsv",
                       "--pairs", splits / "train.pairs", "--out", tmp_path / "o")
-        for key, flag, value in (("optimizer", "--optimizer", "gradient_ascent"),
-                                 ("initial_step", "--initial-step", "0.5"),
-                                 ("step_decay", "--step-decay", "0.5")):
-            cfg = tmp_path / f"{key}.cfg"
-            cfg.write_text(f"{key} = {value}\n")
-            with pytest.raises(DataError, match="unknown config key"):
-                TrainConfig.from_file(cfg)
-            capsys.readouterr()
-            assert run(*train_args, "--config", cfg) == 2
-            assert "unknown config key" in capsys.readouterr().err
+        for flag, value in (("--optimizer", "gradient_ascent"),
+                            ("--initial-step", "0.5"),
+                            ("--step-decay", "0.5"),
+                            ("--config", cfg)):
             assert run_usage_error(*train_args, flag, value) == 1
 
     def test_missing_file_is_exit_2(self, tmp_path, capsys):
@@ -241,13 +235,30 @@ class TestExitCodes:
     def test_corrupt_model_is_exit_2(self, pipeline, tmp_path):
         bad = tmp_path / "bad.model"
         data, splits = pipeline / "data", pipeline / "splits"
-        # the second declares a weighted_nn transform of 2**62 floats and holds none
+        # the second declares a weighted_nn transform of 2**62 floats and holds
+        # none; the third is a whole 8 x 1 model whose metadata is a list
         for blob in (b"not a model at all",
                      b"SMM1" + struct.pack("<II", 1, 11) + b"weighted_nn"
-                     + struct.pack("<QQdI", 2**62, 2**62, 1.0, 2) + b"{}"):
+                     + struct.pack("<QQdI", 2**62, 2**62, 1.0, 2) + b"{}",
+                     b"SMM1" + struct.pack("<II", 1, 8) + b"low_rank"
+                     + struct.pack("<QQdI", 8, 1, 1.0, 2) + b"[]" + bytes(8 * 8 + 1)):
             bad.write_bytes(blob)
             assert run("eval", "--features", data / "features.tsv",
                        "--pairs", splits / "test.pairs", "--model", bad) == 2
+
+    def test_text_that_is_not_utf8_is_exit_2(self, pipeline, tmp_path, capsys):
+        data = pipeline / "data"
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"i001\n\xff\n")
+        capsys.readouterr()
+        assert run("recommend", "--features", data / "features.tsv",
+                   "--model", data / "ground_truth.model", "--query", "i000",
+                   "--category-file", bad) == 2
+        assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
+        bad.write_bytes(b"i000\ti001\talso_bought\n\xff\n")
+        assert run("sample", "--features", data / "features.tsv", "--edges", bad,
+                   "--out", tmp_path / "s") == 2
+        assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
 
     def test_unknown_item_is_exit_2(self, pipeline, tmp_path):
         data, splits = pipeline / "data", pipeline / "splits"
@@ -260,18 +271,30 @@ class TestExitCodes:
                    "--target", "i001", "--out", tmp_path / "nav") == 2
 
 
-def test_train_config_file_with_flag_override(pipeline, tmp_path):
+def test_outputs_leave_no_tmp_files(pipeline, tmp_path):
+    """Every output is written to <name>.tmp and renamed into place."""
     data, splits = pipeline / "data", pipeline / "splits"
-    cfg = tmp_path / "t.cfg"
-    cfg.write_text("kind = low_rank\nrank = 2\nmax_iterations = 5\n")
-    fit = pipeline / "fit_cfg"
-    assert run("train", "--features", data / "features.tsv",
-               "--pairs", splits / "train.pairs", "--config", cfg,
-               "--max-iter", 8, "--seed", 0, "--out", fit) == 0
-    report = json.loads((fit / "train_report.json").read_text())
-    assert report["iterations"] <= 8
-    manifest = json.loads((fit / "run_manifest.json").read_text())
-    assert str(cfg) in manifest["inputs"]
+    model = pipeline / "fit" / "model.bin"
+    cands = tmp_path / "cands.txt"
+    cands.write_text("i001\ni002\ni003\n")
+    features = ("--features", data / "features.tsv")
+    assert run("train", *features, "--pairs", splits / "train.pairs", "--rank", 2,
+               "--max-iter", 5, "--out", pipeline / "fit") == 0
+    for command, *argv in (
+            ("eval", "--pairs", splits / "test.pairs", "--model", model),
+            ("embed", "--model", model),
+            ("cluster", "--model", model, "--k", 3, "--representatives", 2),
+            ("navigate", "--model", model, "--source", "i000", "--target", "i064",
+             "--knn-k", 119),
+            ("recommend", "--model", model, "--query", "i000", "--category-file", cands),
+            ("build-outfit", "--model", model, "--query", "i000",
+             "--category-files", f"{cands},{cands}"),
+            ("score-outfit", "--model", model, "--items", "i000,i001,i002"),
+            ("makeover-delta", "--model", model, "--before", "i000,i001",
+             "--after", "i000,i002")):
+        assert run(command, *features, *argv, "--out", pipeline / command) == 0
+        assert len(os.listdir(pipeline / command)) >= 2
+    assert sorted(pipeline.rglob("*.tmp")) == []
 
 
 def test_eval_text_format_and_report_file(pipeline, capsys, tmp_path):

@@ -255,25 +255,6 @@ class TestTrainConfig:
                 with pytest.raises(DataError):
                     TrainConfig(**{name: bad}).validate()
 
-    def test_from_file(self, tmp_path):
-        p = tmp_path / "train.cfg"
-        p.write_text("# comment\nkind = low_rank\nrank=5\n"
-                     "max_iterations = 17\ntolerance = 1e-5\n"
-                     "l2_penalty = 0.25\nfeature_norm = l2_unit\n")
-        cfg = TrainConfig.from_file(p)
-        assert cfg.kind == "low_rank"
-        assert cfg.rank == 5
-        assert cfg.max_iterations == 17
-        assert cfg.tolerance == 1e-5
-        assert cfg.l2_penalty == 0.25
-        assert cfg.feature_norm == "l2_unit"
-
-    def test_from_file_rejects_unknown_key(self, tmp_path):
-        p = tmp_path / "train.cfg"
-        p.write_text("learning_rate = 0.1\n")
-        with pytest.raises((DataError, TrainingError)):
-            TrainConfig.from_file(p)
-
 
 def _user_pairs(seed=0, n=60, f=8, n_users=4, per_user=30):
     rng = np.random.default_rng(seed)
