@@ -75,6 +75,22 @@ def canonical_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def normalize_rows(values: np.ndarray, kind: str) -> np.ndarray:
+    """Feature rows with per-row normalization applied.
+
+    ``none`` returns ``values`` itself; ``l2_unit`` rescales every row to unit
+    L2 norm (zero rows are left as-is). Each row depends only on itself, so
+    normalizing some rows gives the same bits as those rows of the whole.
+    """
+    if kind == "none":
+        return values
+    if kind != "l2_unit":
+        raise ValueError(f"unknown normalization kind: {kind!r}")
+    norms = np.linalg.norm(values, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return values / norms
+
+
 @dataclass
 class FeatureMatrix:
     """Dense per-item feature vectors, one row per item id."""
@@ -117,18 +133,10 @@ class FeatureMatrix:
         return self.values[self.index_of(item_id)]
 
     def normalized(self, kind: str) -> "FeatureMatrix":
-        """Return a copy with per-row normalization applied.
-
-        ``none`` returns self unchanged; ``l2_unit`` rescales every row to unit
-        L2 norm (zero rows are left as-is).
-        """
+        """Return a copy with normalize_rows applied; ``none`` returns self."""
         if kind == "none":
             return self
-        if kind != "l2_unit":
-            raise ValueError(f"unknown normalization kind: {kind!r}")
-        norms = np.linalg.norm(self.values, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        return FeatureMatrix(self.item_ids, self.values / norms)
+        return FeatureMatrix(self.item_ids, normalize_rows(self.values, kind))
 
     def __eq__(self, other) -> bool:
         return (

@@ -292,10 +292,12 @@ def _cmd_build_outfit(args):
     category_files = args.category_files.split(",")
     categories = [_read_id_list(p) for p in category_files]
     picks = build_outfit(model, features, args.query, categories)
+    scored = {item: (dist, prob)
+              for item, dist, prob in rank_candidates(model, features, args.query, picks)}
     lines = []
     for path, pick in zip(category_files, picks):
-        item, dist, prob = rank_candidates(model, features, args.query, [pick])[0]
-        lines.append(f"{os.path.basename(path)}\t{item}\t{dist!r}\t{prob!r}")
+        dist, prob = scored[pick]
+        lines.append(f"{os.path.basename(path)}\t{pick}\t{dist!r}\t{prob!r}")
     print("\n".join(lines))
     return ([args.features, args.model] + category_files,
             _write_optional(args, "outfit.tsv", "\n".join(lines) + "\n"))

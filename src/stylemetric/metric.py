@@ -159,10 +159,13 @@ def pair_distances_style(S, i_idx, j_idx, w=None) -> np.ndarray:
 def model_distances(model: MetricModel, X: np.ndarray, i_idx, j_idx, user_idx=None) -> np.ndarray:
     """Distances under a model for index pairs into a feature array.
 
-    X must already carry the normalization the model was trained with; callers
-    hold the FeatureMatrix and apply ``features.normalized(model.feature_norm)``
-    before indexing. For personalized models, user_idx selects the per-pair row
-    of the user weight table; omitting it falls back to the shared metric.
+    X must already carry the normalization the model was trained with (see
+    ``catalog.normalize_rows``). Only the rows the pairs reference are read:
+    the low-rank kinds project just those rows, once each, and since
+    project_rows maps every row on its own the distances are bit-identical to
+    projecting all of X. For personalized models, user_idx selects the
+    per-pair row of the user weight table; omitting it falls back to the
+    shared metric.
     """
     i_idx = np.asarray(i_idx, dtype=np.int64)
     j_idx = np.asarray(j_idx, dtype=np.int64)
@@ -172,7 +175,9 @@ def model_distances(model: MetricModel, X: np.ndarray, i_idx, j_idx, user_idx=No
         )
     if model.kind == "weighted_nn":
         return pair_distances_style(X, i_idx, j_idx, model.transform)
-    S = project_rows(X, model.transform)
+    rows, inverse = np.unique(np.concatenate([i_idx, j_idx]), return_inverse=True)
+    i_idx, j_idx = inverse[:len(i_idx)], inverse[len(i_idx):]
+    S = project_rows(X[rows], model.transform)
     if model.kind == "personalized" and user_idx is not None:
         user_idx = np.asarray(user_idx, dtype=np.int64)
         if model.user_weights is None:

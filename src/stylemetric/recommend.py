@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DataError, FeatureMatrix, MetricModel
+from .catalog import DataError, FeatureMatrix, MetricModel, normalize_rows
 from .metric import link_probability, log_link_probability, model_distances
 
 
@@ -20,13 +20,21 @@ class OutfitScore:
     pair_count: int
 
 
+def _item_rows(model: MetricModel, features: FeatureMatrix, items) -> np.ndarray:
+    """The items' feature rows, in order, normalized as the model was trained.
+
+    Only these rows are normalized, which gives the same bits as normalizing
+    the whole catalog and then indexing it.
+    """
+    idx = np.array([features.index_of(i) for i in items], dtype=np.int64)
+    return normalize_rows(features.values[idx], model.feature_norm)
+
+
 def _distances_to_query(model: MetricModel, features: FeatureMatrix,
                         query_item: str, candidates):
-    X = features.normalized(model.feature_norm).values
-    q = features.index_of(query_item)
-    idx = np.array([features.index_of(c) for c in candidates], dtype=np.int64)
-    q_idx = np.full(len(idx), q, dtype=np.int64)
-    return model_distances(model, X, q_idx, idx)
+    X = _item_rows(model, features, [query_item, *candidates])
+    n = len(candidates)
+    return model_distances(model, X, np.zeros(n, dtype=np.int64), np.arange(1, n + 1))
 
 
 def rank_candidates(model: MetricModel, features: FeatureMatrix,
@@ -43,9 +51,9 @@ def rank_candidates(model: MetricModel, features: FeatureMatrix,
     if query_item in candidates:
         raise DataError("query item must be excluded from the candidate set")
     d = _distances_to_query(model, features, query_item, candidates)
-    ranked = sorted(zip(d, candidates), key=lambda pair: (pair[0], pair[1]))
-    return [(item, float(dist), float(link_probability(dist, model.threshold)))
-            for dist, item in ranked]
+    ranked = sorted(zip(d.tolist(), candidates))
+    probs = link_probability(np.array([dist for dist, _ in ranked]), model.threshold)
+    return [(item, dist, prob) for (dist, item), prob in zip(ranked, probs.tolist())]
 
 
 def recommend(model: MetricModel, features: FeatureMatrix, query_item: str,
@@ -93,11 +101,10 @@ def outfit_coherence(model: MetricModel, features: FeatureMatrix, items,
         raise DataError("an outfit needs at least 2 items")
     if normalize not in ("pairs", "components"):
         raise DataError(f"unknown normalization: {normalize!r}")
-    X = features.normalized(model.feature_norm).values
-    idx = np.array([features.index_of(i) for i in items], dtype=np.int64)
+    X = _item_rows(model, features, items)
     n = len(items)
     ii, jj = np.triu_indices(n, k=1)
-    d = model_distances(model, X, idx[ii], idx[jj])
+    d = model_distances(model, X, ii, jj)
     logliks = log_link_probability(d, model.threshold)
     # Summing in sorted order makes the score exactly invariant to the order
     # the items were listed in, not merely up to rounding.

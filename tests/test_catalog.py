@@ -11,7 +11,7 @@ from stylemetric.catalog import (CategoryMap, DataError, FeatureMatrix,
                                  MetricModel, RelationGraph, UserTripleSet,
                                  canonical_pair, load_categories, load_edges,
                                  load_features, load_model, load_triples,
-                                 save_categories, save_edges, save_features,
+                                 normalize_rows, save_categories, save_edges, save_features,
                                  save_model, save_triples)
 from stylemetric.sampling import load_pairs
 from stylemetric.stylespace import load_embedding
@@ -60,6 +60,19 @@ def test_l2_normalization(features):
     norms = np.linalg.norm(unit.values, axis=1)
     np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
     assert features.normalized("none") is features
+
+
+def test_normalizing_some_rows_equals_those_rows_of_the_whole():
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal((5000, 128)) * np.exp(
+        rng.uniform(np.log(1e-3), np.log(1e3), (5000, 1)))
+    values[17] = 0.0
+    whole = normalize_rows(values, "l2_unit")
+    for rows in (np.array([17, 4999, 0, 17, 2500]), rng.choice(5000, 501, replace=False)):
+        assert np.array_equal(normalize_rows(values[rows], "l2_unit"), whole[rows])
+    assert normalize_rows(values, "none") is values
+    with pytest.raises(ValueError):
+        normalize_rows(values, "max_unit")
 
 
 def test_features_text_roundtrip(tmp_path, features):

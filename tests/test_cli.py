@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from stylemetric import cli
+from stylemetric.catalog import load_features, load_model
+from stylemetric.recommend import rank_candidates
 
 
 def run(*argv):
@@ -197,6 +199,32 @@ def test_recommend_and_outfit_commands(pipeline, tmp_path, capsys):
                "--model", fit / "model.bin", "--before", "i000,i001",
                "--after", "i000,i001") == 0
     assert float(capsys.readouterr().out.strip()) == 0.0
+
+
+def test_build_outfit_reports_each_pick_as_ranked_alone(pipeline, tmp_path, capsys):
+    """One pick may fill two slots; every line carries the pick's own
+    distance and probability, as rank_candidates gives them for it alone."""
+    data, splits = pipeline / "data", pipeline / "splits"
+    fit = pipeline / "fit"
+    assert run("train", "--features", data / "features.tsv",
+               "--pairs", splits / "train.pairs", "--rank", 2, "--max-iter", 20,
+               "--feature-norm", "l2_unit", "--seed", 0, "--out", fit) == 0
+    wide, narrow = tmp_path / "wide.txt", tmp_path / "narrow.txt"
+    wide.write_text("".join(f"i{z:03d}\n" for z in range(1, 60)))
+    narrow.write_text("i070\ni071\ni072\n")
+    capsys.readouterr()
+    assert run("build-outfit", "--features", data / "features.tsv",
+               "--model", fit / "model.bin", "--query", "i000",
+               "--category-files", f"{wide},{narrow},{wide}", "--out", tmp_path / "o") == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert (tmp_path / "o" / "outfit.tsv").read_text() == "\n".join(lines) + "\n"
+    assert [line.split("\t")[0] for line in lines] == ["wide.txt", "narrow.txt", "wide.txt"]
+    assert lines[0] == lines[2]
+    features, model = load_features(data / "features.tsv"), load_model(fit / "model.bin")
+    for line in lines:
+        _, pick, dist, prob = line.split("\t")
+        [(_, want_dist, want_prob)] = rank_candidates(model, features, "i000", [pick])
+        assert (dist, prob) == (repr(want_dist), repr(want_prob))
 
 
 class TestExitCodes:

@@ -269,3 +269,37 @@ class TestModelDistances:
         X = rng.standard_normal((5, 4))
         d = model_distances(m, X, np.array([0]), np.array([1]))
         assert d[0] == dist_lowrank(Y, X[0], X[1])
+
+    @pytest.mark.parametrize("kind, with_users", [("low_rank", False),
+                                                  ("weighted_nn", False),
+                                                  ("personalized", False),
+                                                  ("personalized", True)])
+    def test_reads_only_the_referenced_rows(self, kind, with_users, monkeypatch):
+        """Rows no pair references may hold anything, and the projecting
+        kinds project each referenced row once, not the whole matrix."""
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((40, 6))
+        if kind == "weighted_nn":
+            m = _model(kind, rng.uniform(0, 1, 6), 1.0)
+        else:
+            extra = ({"user_ids": ["u0", "u1"], "user_weights": rng.uniform(0, 2, (2, 3))}
+                     if kind == "personalized" else {})
+            m = _model(kind, rng.standard_normal((6, 3)), 1.0, **extra)
+        i = np.array([3, 7, 7, 12, 3, 39])
+        j = np.array([12, 20, 3, 3, 25, 0])
+        users = np.array([0, 1, 1, 0, 1, 0]) if with_users else None
+        touched = np.union1d(i, j)
+        dirty = np.full_like(X, np.nan)
+        dirty[touched] = X[touched]
+        projected = []
+
+        def counting_project_rows(rows, Y):
+            projected.append(len(rows))
+            return project_rows(rows, Y)
+
+        monkeypatch.setattr("stylemetric.metric.project_rows", counting_project_rows)
+        want = model_distances(m, X, i, j, users)
+        got = model_distances(m, dirty, i, j, users)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, want)
+        assert projected == ([] if kind == "weighted_nn" else [len(touched)] * 2)

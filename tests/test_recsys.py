@@ -67,6 +67,59 @@ def test_distance_ties_break_by_item_id():
     assert [r[0] for r in ranked] == ["abc", "zed"]
 
 
+def test_probabilities_are_the_scalar_link_probability():
+    feats, model = _world(seed=9, n=300, f=6, k=3)
+    cands = feats.item_ids[1:]
+    ranked = rank_candidates(model, feats, "i000", cands)
+    dists = [d for _, d, _ in ranked]
+    # a threshold inside the distance range sends probabilities down both
+    # branches of the stable sigmoid
+    model.threshold = dists[len(dists) // 2]
+    ranked = rank_candidates(model, feats, "i000", cands)
+    assert {type(d) for _, d, _ in ranked} == {type(p) for _, _, p in ranked} == {float}
+    for _, d, p in ranked:
+        assert p == link_probability(d, model.threshold)
+
+
+def test_equal_distances_come_back_in_item_id_order():
+    rng = np.random.default_rng(10)
+    base = rng.standard_normal((4, 5))
+    # twelve candidates, three copies of each of four rows, ids shuffled so
+    # that catalog order and id order disagree
+    ids = [f"c{z:02d}" for z in rng.permutation(12)]
+    X = np.vstack([rng.standard_normal((1, 5)), np.repeat(base, 3, axis=0)])
+    feats = FeatureMatrix(["query", *ids], X)
+    model = MetricModel("low_rank", rng.standard_normal((5, 2)), 1.0)
+    ranked = rank_candidates(model, feats, "query", ids)
+    for start in range(0, 12, 3):
+        group = ranked[start:start + 3]
+        assert len({d for _, d, _ in group}) == 1
+        assert [item for item, _, _ in group] == sorted(item for item, _, _ in group)
+    assert [d for _, d, _ in ranked] == sorted(d for _, d, _ in ranked)
+
+
+@pytest.mark.parametrize("kind", ["low_rank", "weighted_nn", "personalized"])
+def test_l2_unit_model_matches_normalizing_the_whole_catalog(kind):
+    rng = np.random.default_rng(11)
+    n, f, k = 200, 6, 3
+    X = rng.standard_normal((n, f)) * np.exp(rng.uniform(-7.0, 7.0, (n, 1)))
+    X[5] = 0.0
+    feats = FeatureMatrix([f"i{z:03d}" for z in range(n)], X)
+    transform = rng.uniform(0, 1, f) if kind == "weighted_nn" else rng.standard_normal((f, k))
+    extra = ({"user_ids": ["u0"], "user_weights": rng.uniform(0, 2, (1, k))}
+             if kind == "personalized" else {})
+    l2 = MetricModel(kind, transform, 1.0, metadata={"feature_norm": "l2_unit"}, **extra)
+    raw = MetricModel(kind, transform, 1.0, metadata={"feature_norm": "none"}, **extra)
+    unit = feats.normalized("l2_unit")
+    cands = feats.item_ids[1:]
+    assert rank_candidates(l2, feats, "i000", cands) == rank_candidates(raw, unit, "i000", cands)
+    slots = [cands[:50], cands[50:120], cands[120:]]
+    assert build_outfit(l2, feats, "i000", slots) == build_outfit(raw, unit, "i000", slots)
+    outfit = ["i007", "i005", "i150", "i033", "i099"]
+    assert (outfit_coherence(l2, feats, outfit).mean_pair_loglik
+            == outfit_coherence(raw, unit, outfit).mean_pair_loglik)
+
+
 def test_build_outfit_picks_nearest_per_slot():
     feats, model = _world(seed=3)
     slots = [feats.item_ids[1:6], feats.item_ids[6:11], feats.item_ids[11:16]]
