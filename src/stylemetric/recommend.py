@@ -75,17 +75,19 @@ def build_outfit(model: MetricModel, features: FeatureMatrix, query_item: str,
     categories is a sequence of item-id collections, one per wardrobe slot;
     none may contain the query item (a slot for the query's own category makes
     no sense) and none may be empty. Returns one item id per category, in the
-    order given.
+    order given. Each pick is its slot's smallest (distance, item id), the
+    first item rank_candidates would give for that slot alone; one distance
+    call covers the members of every slot.
     """
-    picks = []
-    for pos, members in enumerate(categories):
-        members = list(members)
+    slots = [list(members) for members in categories]
+    for pos, members in enumerate(slots):
         if not members:
             raise DataError(f"category {pos} is empty")
         if query_item in members:
             raise DataError(f"category {pos} contains the query item")
-        picks.append(rank_candidates(model, features, query_item, members)[0][0])
-    return picks
+    union = list(dict.fromkeys(item for members in slots for item in members))
+    dist = dict(zip(union, _distances_to_query(model, features, query_item, union).tolist()))
+    return [min(members, key=lambda item: (dist[item], item)) for members in slots]
 
 
 def outfit_coherence(model: MetricModel, features: FeatureMatrix, items,

@@ -2,7 +2,10 @@
 
 The embedding matrix is produced by the same row-by-row projection used by
 the distance functions, so squared Euclidean distances between its rows equal
-the low-rank metric exactly.
+the low-rank metric exactly. The navigation graph's kNN edges come from the
+exact difference kernel as well: a matrix product only shortlists each row's
+candidates, and every edge weight and neighbor order is decided on the
+differences of embedding rows.
 """
 
 import heapq
@@ -15,6 +18,8 @@ from .catalog import (DataError, FeatureMatrix, MetricModel, atomic_writer,
 from .metric import _rowwise_sqnorm, project_rows
 
 _ASSIGN_BLOCK = 2048
+# Bytes of approximate distances one _knn_graph block holds: B rows x N.
+_KNN_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -171,18 +176,67 @@ def representatives(clustering: Clustering, emb: StyleEmbedding, m: int) -> dict
 
 
 def _knn_graph(S, knn_k):
-    """Symmetric kNN adjacency: lists of (neighbor, squared distance)."""
-    n = S.shape[0]
+    """Symmetric kNN adjacency: per row, a dict of neighbor -> squared distance.
+
+    Each row's neighbors are the knn_k smallest (distance, index) keys, where
+    the distance is the exact difference kernel ``_rowwise_sqnorm(S[j] - S[i])``
+    and the row itself counts as infinitely far. Rows are handled in blocks of
+    about ``_KNN_BLOCK_BYTES`` of approximate distances
+    a_ij = n_i + n_j - 2 t_i.t_j from one GEMM over t = S 2^p, where the exact
+    power of two p brings the largest |S| entry into [1/2, 1) and n_i = ||t_i||^2.
+    Only the j with a_ij <= a_(k) + 2 delta_i, a_(k) being the row's k-th
+    smallest approximate value, go on to the exact kernel.
+
+    Slack bound. Let u = 2^-53, R_i = n_i + max_j n_j, D_ij = ||t_i - t_j||^2
+    and e_ij the exact kernel's value on the unscaled rows. In any summation
+    order (BLAS blocking, FMA, einsum's unrolling) |a_ij - D_ij| and
+    |e_ij 2^2p - D_ij| are each at most (2K + 4) u R_i, plus K 2^(2p - 1074)
+    for e_ij's underflow; a_ij's own underflow, at most 8K 2^-1074, is far
+    below u R_i because R_i >= 1/4. delta_i = 8 (K + 2) u R_i +
+    2K 2^(2p - 1074) therefore bounds |a_ij - e_ij 2^2p| twice over, the
+    rounding of the threshold included. The k columns with a_ij <= a_(k) have
+    e_ij 2^2p <= a_(k) + delta_i, so every j whose e_ij ties or beats the
+    row's k-th exact value has a_ij <= a_(k) + 2 delta_i. That needs those
+    e_ij finite. One can overflow only once D_ij >= 2^2p MAX/2, so a row whose
+    threshold reaches 2^2p MAX/4 shortlists every j instead, itself included,
+    at infinity.
+    """
+    n, dim = S.shape
     k = min(knn_k, n - 1)
     adjacency = [dict() for _ in range(n)]
-    for i in range(n):
-        d2 = _rowwise_sqnorm(S - S[i])
-        d2[i] = np.inf
-        order = np.argsort(d2, kind="stable")[:k]
-        for j in order:
-            w = float(d2[j])
-            adjacency[i][int(j)] = w
-            adjacency[int(j)][i] = w
+    if k < 1:
+        return adjacency
+    _, exp = np.frexp(np.max(np.abs(S)))
+    p = -int(exp)
+    T = np.ldexp(S, p)
+    norms = _rowwise_sqnorm(T)
+    u = np.finfo(np.float64).epsneg
+    with np.errstate(over="ignore"):  # past the float range is infinity
+        slack = (8 * (dim + 2) * u * (norms + norms.max())
+                 + np.ldexp(2.0 * dim, 2 * p - 1074))
+        overflow = np.ldexp(np.finfo(np.float64).max / 4, 2 * p)
+    block = max(1, _KNN_BLOCK_BYTES // (8 * n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = np.arange(start, stop)
+        approx = T[start:stop] @ T.T
+        approx *= -2.0
+        approx += norms
+        approx += norms[start:stop, None]
+        approx[rows - start, rows] = np.inf
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        limit = kth + 2 * slack[start:stop]
+        limit[limit >= overflow] = np.inf
+        r, j = np.nonzero(approx <= limit[:, None])
+        r += start
+        d2 = _rowwise_sqnorm(S[j] - S[r])
+        d2[j == r] = np.inf
+        order = np.lexsort((j, d2, r))
+        top = order[np.searchsorted(r[order], rows)[:, None] + np.arange(k)]
+        for i, nbrs, weights in zip(rows.tolist(), j[top].tolist(), d2[top].tolist()):
+            for nbr, w in zip(nbrs, weights):
+                adjacency[i][nbr] = w
+                adjacency[nbr][i] = w
     return adjacency
 
 

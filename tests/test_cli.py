@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +227,42 @@ def test_build_outfit_reports_each_pick_as_ranked_alone(pipeline, tmp_path, caps
         _, pick, dist, prob = line.split("\t")
         [(_, want_dist, want_prob)] = rank_candidates(model, features, "i000", [pick])
         assert (dist, prob) == (repr(want_dist), repr(want_prob))
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """train, embed and navigate write the same bytes with one BLAS thread
+    and with two. The catalog is large enough for OpenBLAS to split its
+    matrix products across threads."""
+    data, sampled, splits = tmp_path / "data", tmp_path / "sampled", tmp_path / "splits"
+    assert run("synth", "--n", 1200, "--f", 32, "--k", 4, "--edges", 6000,
+               "--noise", 0.05, "--seed", 7, "--out", data) == 0
+    assert run("sample", "--features", data / "features.tsv",
+               "--edges", data / "edges.tsv", "--seed", 7, "--out", sampled) == 0
+    assert run("split", "--features", data / "features.tsv",
+               "--pairs", sampled / "pairs.tsv", "--seed", 7, "--out", splits) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"threads{threads}"
+        fit = out / "fit"
+        for argv in (
+            ["train", "--features", data / "features.tsv", "--pairs",
+             splits / "train.pairs", "--rank", 4, "--max-iter", 15, "--seed", 0,
+             "--out", fit],
+            ["embed", "--features", data / "features.tsv", "--model",
+             fit / "model.bin", "--out", out / "emb"],
+            ["navigate", "--features", data / "features.tsv", "--model",
+             fit / "model.bin", "--source", "i0000", "--target", "i1199",
+             "--knn-k", 10, "--out", out / "nav"],
+        ):
+            subprocess.run([sys.executable, "-m", "stylemetric.cli", *map(str, argv)],
+                           env=env, check=True, capture_output=True)
+        digests.append(_tree_digests(out))
+    assert sorted(digests[0]) == ["emb/embedding.tsv", "fit/model.bin", "fit/train_log.tsv",
+                                  "fit/train_report.json", "nav/path.tsv"]
+    assert digests[0] == digests[1]
 
 
 class TestExitCodes:

@@ -5,15 +5,19 @@ search; k-means against the properties that hold for exact Lloyd updates.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from stylemetric import stylespace
 from stylemetric.catalog import DataError, FeatureMatrix, MetricModel
-from stylemetric.metric import project_rows
-from stylemetric.stylespace import (StyleEmbedding, embed_all, kmeans,
-                                    load_embedding, navigate, representatives,
-                                    save_embedding)
+from stylemetric.metric import _rowwise_sqnorm, project_rows
+from stylemetric.stylespace import (StyleEmbedding, _knn_graph, embed_all,
+                                    kmeans, load_embedding, navigate,
+                                    representatives, save_embedding)
 
 
 def _embedding(seed=0, n=20, k=3, scale=1.0):
@@ -216,3 +220,72 @@ def test_navigate_isomorphism_under_orthogonal_rotation():
     b_items, b_cost, _ = navigate(rotated, "i000", "i014", knn_k=4)
     assert a_items == b_items
     assert b_cost == pytest.approx(a_cost, rel=1e-9)
+
+
+def _knn_graph_per_row(S, knn_k):
+    """The kNN graph by one full stable argsort of every row's exact
+    distances: the reference the blocked shortlist must reproduce."""
+    n = S.shape[0]
+    k = min(knn_k, n - 1)
+    adjacency = [dict() for _ in range(n)]
+    for i in range(n):
+        d2 = _rowwise_sqnorm(S - S[i])
+        d2[i] = np.inf
+        for j in np.argsort(d2, kind="stable")[:k]:
+            w = float(d2[j])
+            adjacency[i][int(j)] = w
+            adjacency[int(j)][i] = w
+    return adjacency
+
+
+def _rows(kind, n, dim, scale, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "grid":  # integer coordinates: many equal distances
+        S = rng.integers(-2, 3, (n, dim)).astype(np.float64)
+    elif kind == "duplicates":  # every row repeats one of a few
+        S = rng.standard_normal((max(1, n // 3), dim))[rng.integers(0, max(1, n // 3), n)]
+    elif kind == "cluster":  # distances far below the rows' norms
+        S = 1e4 + rng.standard_normal((n, dim)) * 1e-6
+    else:
+        S = rng.standard_normal((n, dim))
+    return S * scale
+
+
+def _same_graph(got, want):
+    return [list(row.items()) for row in got] == [list(row.items()) for row in want]
+
+
+@given(kind=st.sampled_from(("normal", "grid", "duplicates", "cluster")),
+       scale=st.sampled_from((1.0, 1e-160, 1e-163, 1e-300, 1e-320, 1e160, 1e300)),
+       n=st.integers(2, 40), dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_knn_graph_matches_a_full_sort_of_every_row(kind, scale, n, dim, seed, data):
+    """Keys, weights and insertion order, including ties, duplicate rows,
+    distances that round to few bits or to zero (rows near 1e-160 and below)
+    or overflow (1e160 and above), knn_k >= n - 1, and block sizes on either
+    side of the row count."""
+    knn_k = data.draw(st.integers(1, n + 1), label="knn_k")
+    block = data.draw(st.sampled_from((n - 1, n, n + 1, 1, max(1, n // 3))), label="block")
+    S = _rows(kind, n, dim, scale, seed)
+    with np.errstate(over="ignore"):
+        want = _knn_graph_per_row(S, knn_k)
+        with mock.patch.object(stylespace, "_KNN_BLOCK_BYTES", 8 * n * block):
+            got = _knn_graph(S, knn_k)
+    assert _same_graph(got, want)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_knn_graph_at_the_block_size(offset):
+    """n = B - 1, B and B + 1 rows, where B is the row count of one block
+    at n rows: one short block, one full block, and a full block plus a
+    short one."""
+    side = int(np.sqrt(stylespace._KNN_BLOCK_BYTES // 8))
+    assert stylespace._KNN_BLOCK_BYTES // (8 * side) == side
+    S = _rows("grid", side + offset, 3, 1.0, seed=offset + 1)
+    assert _same_graph(_knn_graph(S, 10), _knn_graph_per_row(S, 10))
+
+
+def test_knn_graph_of_two_and_of_one_row():
+    S = np.array([[0.0, 1.0], [2.0, 1.0]])
+    assert _knn_graph(S, 5) == [{1: 4.0}, {0: 4.0}]
+    assert _knn_graph(S[:1], 5) == [{}]
