@@ -28,10 +28,11 @@ With Q = 2 (dL/dd) V per pair, the chain rule gives
     dL/dw    = sum of Q o P over all pairs (weighted_nn)
     dL/dw_u  = sum of Q o P over the pairs of user u (personalized)
 
-weighted_nn has no Y, so nothing is scattered for it. One pass over the pairs
-yields L, the whole gradient and the training accuracy. It runs on one thread
-in fixed blocks, and every sum runs in pair order, so results depend only on
-the inputs.
+weighted_nn has no Y, so nothing is scattered for it. One value pass over the
+pairs yields L and the training accuracy; a second pass, from the same style
+coordinates S, yields the whole gradient. The optimizer takes the gradient
+pass only at points it keeps. Both passes run on one thread in fixed blocks,
+and every sum runs in pair order, so results depend only on the inputs.
 """
 
 import math
@@ -188,13 +189,41 @@ class _Objective:
             return self.X, transform
         return project_rows(self.X, transform), None
 
-    def value_and_grad(self, vec):
-        """Returns (f, L, grad_f, train_accuracy) at vec from one pass over the pairs."""
+    def value(self, vec):
+        """Returns (f, L, train_accuracy, S) at vec from one pass over the pairs.
+
+        S is the style coordinates the pass used; grad takes it back so that
+        the point's projection is computed once.
+        """
         transform, c, user_w = self.unpack(vec)
         S, w = self.style(transform)
         m = len(self.i)
-        L = gc = 0.0
+        L = 0.0
         hits = 0
+        for lo in range(0, m, _BLOCK):
+            i, j = self.i[lo:lo + _BLOCK], self.j[lo:lo + _BLOCK]
+            lab = self.labels[lo:lo + _BLOCK]
+            if user_w is not None:
+                w = user_w[self.users[lo:lo + _BLOCK]]
+            d = pair_terms(S, i, j, w)[2]
+            t = c - d
+            L -= float(np.sum(softplus(-t[lab]))) + float(np.sum(softplus(t[~lab])))
+            hits += int(np.count_nonzero((d < c) == lab))
+        f = -L
+        if self.l2_penalty != 0.0:
+            f += self.l2_penalty * float(np.sum(transform * transform))
+        return f, L, hits / m if m else 0.0, S
+
+    def grad(self, vec, S):
+        """grad_f at vec, given the style coordinates S that value(vec) returned.
+
+        A second pass over the pairs recomputes each block's pair terms from S
+        with the same kernel, so every term has the bits value saw.
+        """
+        transform, c, user_w = self.unpack(vec)
+        w = transform if self.kind == "weighted_nn" else None
+        m = len(self.i)
+        gc = 0.0
         gW = None if user_w is None else np.zeros_like(user_w)
         if self.kind == "weighted_nn":
             gt = np.zeros(self.F)
@@ -207,12 +236,9 @@ class _Objective:
                 u = self.users[lo:lo + _BLOCK]
                 w = user_w[u]
             P, V, d = pair_terms(S, i, j, w)
-            t = c - d
-            L -= float(np.sum(softplus(-t[lab]))) + float(np.sum(softplus(t[~lab])))
-            p = sigmoid(t)
+            p = sigmoid(c - d)
             r = np.where(lab, 1.0 - p, -p)  # dL/dc per pair; dL/dd = -r
             gc += float(np.sum(r))
-            hits += int(np.count_nonzero((d < c) == lab))
             if self.kind == "weighted_nn":
                 gt += (-2.0 * r) @ (V * P)
                 continue
@@ -225,17 +251,25 @@ class _Objective:
         if self.kind != "weighted_nn":
             gt = self.X.T @ G
         grad = -self.pack(gt, gc, gW)
-        f = -L
         if self.l2_penalty != 0.0:
-            f += self.l2_penalty * float(np.sum(transform * transform))
             grad[: transform.size] += 2.0 * self.l2_penalty * transform.ravel()
-        return f, L, grad, hits / m if m else 0.0
+        return grad
+
+    def value_and_grad(self, vec):
+        """Returns (f, L, grad_f, train_accuracy) at vec: value, then grad."""
+        f, L, acc, S = self.value(vec)
+        return f, L, self.grad(vec, S), acc
 
 
 def _scatter_rows(out, idx, rows):
-    """out[idx[n]] += rows[n] for every n, summed in pair order."""
-    for k in range(out.shape[1]):
-        out[:, k] += np.bincount(idx, rows[:, k], len(out))
+    """out[idx[n]] += rows[n] for every n, summed in pair order.
+
+    One bincount over the flat cells idx[n] * K + k: each cell still adds its
+    terms in pair order, as a per-column bincount would.
+    """
+    K = out.shape[1]
+    cells = (idx[:, None] * K + np.arange(K)).ravel()
+    out += np.bincount(cells, rows.ravel(), out.size).reshape(out.shape)
 
 
 def _users_for_model(model: MetricModel, pairs, users):
@@ -275,7 +309,7 @@ def log_likelihood(model: MetricModel, features, pairs) -> float:
     tuple of arrays. Always <= 0.
     """
     obj, vec = _objective_for_model(model, features, pairs)
-    return obj.value_and_grad(vec)[1]
+    return obj.value(vec)[1]
 
 
 def gradient(model: MetricModel, features, pairs):
@@ -297,8 +331,10 @@ def _minimize(obj: _Objective, x0, config: TrainConfig, progress=None):
 
     Accepted steps satisfy both the Armijo condition (measured against the
     projected step) and plain non-increase of f, so the reported likelihood
-    trace is non-decreasing by construction. Every trial point is evaluated
-    once; the accepted trial's value, gradient and accuracy carry over.
+    trace is non-decreasing by construction. Every trial point gets one value
+    pass; only the start point and each accepted trial also get a gradient
+    pass, since a rejected trial's gradient is never used. The accepted
+    trial's value, gradient and accuracy carry over.
     progress, when given, receives one ``iter\\tlog_likelihood\\ttrain_acc``
     line per accepted iterate. Returns (x, trace, iterations, termination,
     train_accuracy).
@@ -324,7 +360,7 @@ def _minimize(obj: _Objective, x0, config: TrainConfig, progress=None):
         alpha = 1.0
         while alpha >= _MIN_STEP:
             xt = obj.project(x + alpha * p)
-            ft, Lt, gt, acct = obj.value_and_grad(xt)
+            ft, Lt, acct, St = obj.value(xt)
             if not np.isfinite(ft):
                 raise TrainingError(f"non-finite likelihood at iteration {it + 1}")
             gdx = float(g @ (xt - x))
@@ -334,6 +370,7 @@ def _minimize(obj: _Objective, x0, config: TrainConfig, progress=None):
         else:
             termination = "no_ascent_step"
             break
+        gt = obj.grad(xt, St)
         f_prev = f
         s = xt - x
         y = gt - g
@@ -400,6 +437,8 @@ def _fit(config: TrainConfig, kind, features, pairs, warm_start, progress):
             f"training expects the train partition, got {pairs.partition!r}"
         )
     X = features.normalized(config.feature_norm).values
+    if X.shape[1] == 0:
+        raise DataError("cannot train on features with zero columns")
     i_idx, j_idx, labels, users = _pair_arrays(pairs, features)
     if len(i_idx) == 0:
         raise DataError("cannot train on an empty pair set")
