@@ -192,7 +192,7 @@ class _Objective:
     def value(self, vec):
         """Returns (f, L, train_accuracy, S) at vec from one pass over the pairs.
 
-        S is the style coordinates the pass used; grad takes it back so that
+        S holds the style coordinates the pass used; grad takes it back so that
         the point's projection is computed once.
         """
         transform, c, user_w = self.unpack(vec)
@@ -264,8 +264,8 @@ class _Objective:
 def _scatter_rows(out, idx, rows):
     """out[idx[n]] += rows[n] for every n, summed in pair order.
 
-    One bincount over the flat cells idx[n] * K + k: each cell still adds its
-    terms in pair order, as a per-column bincount would.
+    One bincount over the flat cells idx[n] * K + k; each cell adds its terms
+    in pair order.
     """
     K = out.shape[1]
     cells = (idx[:, None] * K + np.arange(K)).ravel()

@@ -326,6 +326,18 @@ class TestExitCodes:
                    "--out", tmp_path / "s") == 2
         assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
 
+    def test_features_with_zero_columns_are_exit_2(self, tmp_path, capsys):
+        """Training on an F = 0 feature file is refused, not fitted into an
+        empty model."""
+        features, pairs = tmp_path / "f.tsv", tmp_path / "p.tsv"
+        features.write_text("#features 3 0\na\nb\nc\n")
+        pairs.write_text("#partition train\na\tb\trelated\nb\tc\tunrelated\n")
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("train", "--features", features, "--pairs", pairs, "--out", out) == 2
+        assert "zero columns" in capsys.readouterr().err
+        assert not (out / "model.bin").exists()
+
     def test_unknown_item_is_exit_2(self, pipeline, tmp_path):
         data, splits = pipeline / "data", pipeline / "splits"
         fit = pipeline / "fit"

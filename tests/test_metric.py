@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stylemetric.catalog import DataError, MetricModel
 from stylemetric.metric import (decide, dist_full, dist_lowrank,
@@ -132,6 +134,63 @@ def test_project_rows_single_row_equals_batch():
     for i in (0, 17, 63):
         alone = project_rows(X[i : i + 1], Y)
         assert np.array_equal(alone[0], S[i])
+
+
+def _project_rows_per_row(X, Y):
+    """The per-row loop project_rows once ran: one X[r] @ Y per row."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[None, :]
+    S = np.empty((X.shape[0], Y.shape[1]), dtype=np.float64)
+    for r in range(X.shape[0]):
+        S[r] = X[r] @ Y
+    return S
+
+
+def _laid_out(A, layout, rng):
+    """A copy of A in C order, Fortran order, or as a strided slice of a larger array."""
+    if layout == "C":
+        return np.ascontiguousarray(A)
+    if layout == "F":
+        return np.asfortranarray(A)
+    big = rng.standard_normal((2 * A.shape[0] + 1, 3 * A.shape[1] + 2))
+    view = big[1::2, 2::3]
+    view[...] = A
+    return view
+
+
+@given(n=st.integers(0, 12), f=st.integers(1, 9), k=st.integers(1, 6),
+       x_layout=st.sampled_from(("C", "F", "sliced")),
+       y_layout=st.sampled_from(("C", "F", "sliced")),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=0, f=3, k=2, x_layout="C", y_layout="C", seed=0)
+@example(n=5, f=1, k=3, x_layout="F", y_layout="sliced", seed=1)
+@example(n=5, f=4, k=1, x_layout="sliced", y_layout="F", seed=2)
+@example(n=1, f=1, k=1, x_layout="sliced", y_layout="sliced", seed=3)
+def test_project_rows_matches_the_per_row_loop_in_any_batch(n, f, k, x_layout,
+                                                            y_layout, seed):
+    """Every row gets the bits the per-row loop gives its C-ordered copy: in
+    the whole batch, in any subset and order of rows (repeats included),
+    alone, and as a 1-D input, whatever the layout of X."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-8, 8, (n, 1))
+    rows = rng.standard_normal((n, f)) * scales
+    X = _laid_out(rows, x_layout, rng)
+    Y = _laid_out(rng.standard_normal((f, k)), y_layout, rng)
+    want = _project_rows_per_row(rows, Y)
+    S = project_rows(X, Y)
+    assert S.shape == (n, k)
+    assert np.array_equal(S, want)
+    if n == 0:
+        return
+    subset = rng.integers(0, n, int(rng.integers(0, 2 * n + 1)))
+    assert np.array_equal(project_rows(X[subset], Y), want[subset])
+    order = rng.permutation(n)
+    assert np.array_equal(project_rows(X[order], Y), want[order])
+    for r in range(n):
+        assert np.array_equal(project_rows(X[r:r + 1], Y)[0], want[r])
+        assert np.array_equal(project_rows(X[r], Y)[0], want[r])
+        assert np.array_equal(embed(Y, X[r]), want[r])
 
 
 def test_sigmoid_midpoint_and_saturation():

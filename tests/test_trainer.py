@@ -6,10 +6,12 @@ model kind, coordinate by coordinate.
 """
 
 import io
+from collections import deque
 
 import numpy as np
 import pytest
 
+from stylemetric import training
 from stylemetric.catalog import DataError, FeatureMatrix, MetricModel
 from stylemetric.evaluation import evaluate
 from stylemetric.metric import link_probability
@@ -350,3 +352,151 @@ def test_reported_train_accuracy_equals_evaluate(kind):
     want = evaluate(model, feats, ps).accuracy
     assert report.train_accuracy == want
     assert log.getvalue().splitlines()[-1].split("\t")[2] == f"{want:.4f}"
+
+
+def _scatter_per_column(out, idx, rows):
+    """The per-column scatter _scatter_rows once ran: one bincount per column."""
+    for k in range(out.shape[1]):
+        out[:, k] += np.bincount(idx, rows[:, k], len(out))
+
+
+@pytest.mark.parametrize("n, k, sizes", [
+    (6, 3, [40, 0, 17]),  # an empty block between two full ones
+    (5, 1, [30, 30]),     # one style column
+    (1, 4, [9]),          # every pair on the same row
+    (50, 7, [3, 200]),
+])
+def test_scatter_rows_matches_the_per_column_bincounts(n, k, sizes):
+    """Each cell adds its terms in pair order, as K column bincounts did, so
+    the two agree bit for bit even where the order of a sum matters."""
+    rng = np.random.default_rng(n * 100 + k)
+    start = rng.standard_normal((n, k)) * 1e16
+    flat, per_column = start.copy(), start.copy()
+    for m in sizes:
+        idx = rng.integers(0, n, m)  # repeats on purpose
+        rows = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-8, 17, (m, 1))
+        training._scatter_rows(flat, idx, rows)
+        _scatter_per_column(per_column, idx, rows)
+        assert np.array_equal(flat, per_column)
+    assert not np.array_equal(flat, start)
+
+
+def _fused_minimize(obj, x0, config, progress=None):
+    """The line search _minimize once ran: value_and_grad at every trial point."""
+    x = obj.project(np.asarray(x0, dtype=np.float64))
+    f, L, g, acc = obj.value_and_grad(x)
+    if not np.isfinite(f):
+        raise TrainingError("non-finite likelihood at iteration 0 (bad init scale?)")
+    trace = [L]
+    if progress is not None:
+        progress.write(f"0\t{L:.6f}\t{acc:.4f}\n")
+    history = deque(maxlen=training._HISTORY)
+    termination = "max_iterations"
+    it = 0
+    while it < config.max_iterations:
+        if float(np.linalg.norm(g)) < training._GRAD_NORM_FLOOR:
+            termination = "gradient_norm"
+            break
+        p = -training._two_loop(g, history)
+        if float(p @ g) >= 0.0:
+            history.clear()
+            p = -g
+        alpha = 1.0
+        while alpha >= training._MIN_STEP:
+            xt = obj.project(x + alpha * p)
+            ft, Lt, gt, acct = obj.value_and_grad(xt)
+            if not np.isfinite(ft):
+                raise TrainingError(f"non-finite likelihood at iteration {it + 1}")
+            gdx = float(g @ (xt - x))
+            if ft <= f + training._ARMIJO * gdx and ft <= f:
+                break
+            alpha *= training._BACKTRACK
+        else:
+            termination = "no_ascent_step"
+            break
+        f_prev = f
+        s = xt - x
+        y = gt - g
+        sy = float(s @ y)
+        if sy > training._CURVATURE_GUARD * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            history.append((s, y, 1.0 / sy))
+        x, f, L, g, acc = xt, ft, Lt, gt, acct
+        it += 1
+        trace.append(L)
+        if progress is not None:
+            progress.write(f"{it}\t{L:.6f}\t{acc:.4f}\n")
+        if abs(f_prev - f) <= config.tolerance * max(1.0, abs(f_prev)):
+            termination = "tolerance"
+            break
+    return x, trace, it, termination, acc
+
+
+def _line_search_problem(kind, l2_penalty, seed=21, n=30, f=5, rank=3, n_users=3, m=120):
+    """An objective over random pairs and its seeded starting point."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, f))
+    i_idx = rng.integers(0, n - 1, m)
+    j_idx = np.minimum(i_idx + rng.integers(1, n, m), n - 1)
+    i_idx = np.minimum(i_idx, j_idx - 1)
+    labels = rng.integers(0, 2, m).astype(bool)
+    users = rng.integers(0, n_users, m) if kind == "personalized" else None
+    config = TrainConfig(kind="weighted_nn" if kind == "weighted_nn" else "low_rank",
+                         rank=rank, seed=seed, l2_penalty=l2_penalty)
+    obj = training._Objective(kind, X, i_idx, j_idx, labels, users,
+                              n_users if users is not None else 0, rank=rank,
+                              l2_penalty=l2_penalty)
+    transform, c0 = training._init_params(config, obj)
+    return obj, obj.pack(transform, c0, rng.uniform(0.5, 1.5, (obj.n_users, obj.K)))
+
+
+def _counted(obj, calls):
+    """Record every value and gradient pass obj makes, in order."""
+    value, grad = obj.value, obj.grad
+
+    def counted_value(vec):
+        calls.append("value")
+        return value(vec)
+
+    def counted_grad(vec, S):
+        calls.append("grad")
+        return grad(vec, S)
+
+    obj.value, obj.grad = counted_value, counted_grad
+    return obj
+
+
+# l2_penalty 1e30 makes every step from 1 down to _MIN_STEP overshoot the
+# penalty's minimum, so the first line search fails; personalized with seed 21
+# accepts its first full step.
+@pytest.mark.parametrize("kind, l2_penalty, seed, termination, backtracks", [
+    ("low_rank", 0.0, 21, "max_iterations", True),
+    ("low_rank", 0.5, 21, "tolerance", True),
+    ("weighted_nn", 0.0, 21, "tolerance", True),
+    ("weighted_nn", 0.5, 22, "tolerance", True),
+    ("personalized", 0.0, 21, "tolerance", False),
+    ("personalized", 0.5, 21, "max_iterations", True),
+    ("low_rank", 1e30, 21, "no_ascent_step", True),
+    ("weighted_nn", 1e30, 21, "no_ascent_step", True),
+    ("personalized", 1e30, 21, "no_ascent_step", True),
+])
+def test_lazy_line_search_matches_the_fused_one(kind, l2_penalty, seed, termination,
+                                                backtracks):
+    """Taking the gradient only at the start point and at accepted trials
+    leaves every bit of the run as it was when every trial took one, and
+    makes exactly one gradient pass per iterate."""
+    config = TrainConfig(max_iterations=30)
+    obj, x0 = _line_search_problem(kind, l2_penalty, seed)
+    calls = []
+    lazy_log, fused_log = io.StringIO(), io.StringIO()
+    x, trace, iterations, stop, accuracy = training._minimize(
+        _counted(obj, calls), x0, config, lazy_log)
+    want = _fused_minimize(_line_search_problem(kind, l2_penalty, seed)[0], x0, config,
+                           fused_log)
+    assert x.tobytes() == want[0].tobytes()
+    assert (trace, iterations, stop, accuracy) == tuple(want[1:])
+    assert lazy_log.getvalue() == fused_log.getvalue()
+    assert stop == termination
+    assert calls[:2] == ["value", "grad"]
+    assert calls.count("grad") == iterations + 1
+    first_trials = (calls + ["grad"]).index("grad", 2) - 2
+    assert (first_trials > 1) == backtracks
