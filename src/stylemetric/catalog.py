@@ -132,12 +132,6 @@ class FeatureMatrix:
     def row(self, item_id: str) -> np.ndarray:
         return self.values[self.index_of(item_id)]
 
-    def normalized(self, kind: str) -> "FeatureMatrix":
-        """Return a copy with normalize_rows applied; ``none`` returns self."""
-        if kind == "none":
-            return self
-        return FeatureMatrix(self.item_ids, normalize_rows(self.values, kind))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FeatureMatrix)
@@ -269,9 +263,10 @@ class MetricModel:
                 raise DataError("non-finite user weight")
             if np.any(self.user_weights < 0.0):
                 raise DataError("negative user weight")
-        self._user_rows = {}  # user id -> first row holding it
-        for row, user in enumerate(self.user_ids or ()):
-            self._user_rows.setdefault(user, row)
+        users = self.user_ids or ()
+        self._user_rows = {user: row for row, user in enumerate(users)}
+        if len(self._user_rows) != len(users):
+            raise DataError("duplicate user id in model")
 
     @property
     def n_features(self) -> int:
@@ -287,8 +282,6 @@ class MetricModel:
         return self.metadata.get("feature_norm", "none")
 
     def user_index(self, user_id: str) -> int:
-        if not self.user_ids:
-            return -1
         try:
             return self._user_rows[user_id]
         except KeyError:
@@ -297,17 +290,14 @@ class MetricModel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MetricModel):
             return False
-        same_users = (
-            self.user_ids == other.user_ids
-            if self.user_weights is None or other.user_weights is None
-            else self.user_ids == other.user_ids
-            and np.array_equal(self.user_weights, other.user_weights)
+        same_users = self.user_ids == other.user_ids and (
+            self.user_weights is None
+            or np.array_equal(self.user_weights, other.user_weights)
         )
         return (
             self.kind == other.kind
             and np.array_equal(self.transform, other.transform)
             and self.threshold == other.threshold
-            and (self.user_weights is None) == (other.user_weights is None)
             and same_users
             and self.metadata == other.metadata
         )

@@ -18,6 +18,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .catalog import (FEATURE_NORMS, DataError, atomic_writer, load_edges,
                       load_features, load_model, load_triples, read_records,
                       save_edges, save_features, save_model, save_triples,
@@ -182,7 +184,8 @@ def _cmd_sample(args):
     else:
         pos = graph_to_pairs(graph, features)
         neg = sample_negatives(pos, features.n_items, args.seed)
-        pairs = LabeledPairSet(features.item_ids, pos, neg, "all")
+        labels = np.repeat([True, False], len(pos))
+        pairs = LabeledPairSet(features.item_ids, np.concatenate([pos, neg]), labels, "all")
         inputs = [args.features, args.edges]
     pairs_path = os.path.join(out, "pairs.tsv")
     save_pairs(pairs, pairs_path)
@@ -193,9 +196,7 @@ def _cmd_split(args):
     out = _ensure_out(args)
     features = load_features(args.features)
     pairs = load_pairs(args.pairs, features)
-    parts = split(pairs.pos_pairs, pairs.neg_pairs, args.seed,
-                  item_ids=pairs.item_ids, user_ids=pairs.user_ids,
-                  pos_users=pairs.pos_users, neg_users=pairs.neg_users)
+    parts = split(pairs, args.seed)
     outputs = []
     for tag in ("train", "validation", "test"):
         path = os.path.join(out, f"{tag}.pairs")

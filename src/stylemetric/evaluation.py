@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import CategoryMap, DataError, MetricModel, RelationGraph
+from .catalog import CategoryMap, DataError, MetricModel, RelationGraph, normalize_rows
 from .metric import model_distances
 from .sampling import LabeledPairSet
 from .training import TrainConfig, _pair_arrays, _users_for_model, train
@@ -59,7 +59,7 @@ class EvalReport:
 
 def evaluate(model: MetricModel, features, pairs) -> EvalReport:
     """Confusion counts and accuracy of the d < c rule on a labeled pair set."""
-    X = features.normalized(model.feature_norm).values
+    X = normalize_rows(features.values, model.feature_norm)
     i_idx, j_idx, labels, users = _pair_arrays(pairs, features)
     users = _users_for_model(model, pairs, users)
     d = model_distances(model, X, i_idx, j_idx, users)

@@ -59,7 +59,7 @@ def dist_lowrank(Y, x_i, x_j) -> float:
     matrix Y Y^T is never formed.
     """
     S = project_rows(np.vstack([x_i, x_j]), Y)
-    return float(_rowwise_sqnorm(S[0:1] - S[1:2])[0])
+    return float(pair_distances_style(S, [0], [1])[0])
 
 
 def dist_full(M, x_i, x_j) -> float:
@@ -81,8 +81,7 @@ def dist_personalized(Y, user_w, x_i, x_j) -> float:
     if np.any(user_w < 0.0):
         raise DataError("user weights must be nonnegative")
     S = project_rows(np.vstack([x_i, x_j]), Y)
-    v = (S[0:1] - S[1:2]) * user_w[None, :]
-    return float(_rowwise_sqnorm(v)[0])
+    return float(pair_distances_style(S, [0], [1], user_w)[0])
 
 
 def sigmoid(t):

@@ -2,7 +2,9 @@
 
 All functions here work in index space; callers map item id strings to dense
 indices through a FeatureMatrix (see graph_to_pairs). Pairs are canonical
-(i < j) int64 arrays of shape (m, 2).
+(i < j) int64 arrays of shape (m, 2). After sampling, every stage passes one
+LabeledPairSet along: a table of pairs, labels and optional users that split,
+the pair files and training read directly.
 
 Pair files are tab-separated with item id strings, one pair per line
 (``<i>\\t<j>\\t<label>[\\t<user>]``) under a ``#partition <tag>`` header line.
@@ -14,6 +16,7 @@ from .catalog import (DataError, FeatureMatrix, RelationGraph, UserTripleSet,
                       atomic_writer, read_records)
 
 PARTITIONS = ("train", "validation", "test", "all")
+_LABELS = ("unrelated", "related")  # indexed by the label bool
 TRAIN_POSITIVE_CAP = 2_000_000
 
 _VAL_FRACTION = 0.10
@@ -23,69 +26,55 @@ _TEST_FRACTION = 0.10
 class LabeledPairSet:
     """Balanced related/unrelated index pairs, optionally user-annotated.
 
-    pos_pairs and neg_pairs are (m, 2) int64 arrays with i < j per row. When
-    user annotations are present, pos_users/neg_users hold per-pair indices
-    into user_ids. The two label sets are disjoint and equally sized.
+    One table of m rows: pairs is (m, 2) int64 with i < j per row, labels is
+    (m,) bool (True for related), and users, when present, holds per-row
+    indices into user_ids. Half of the rows are related, and no pair carries
+    both labels. Rows are stored related first, each half in the order given,
+    so that the pair files and every training pass see one fixed order.
     """
 
-    def __init__(self, item_ids, pos_pairs, neg_pairs, partition,
-                 user_ids=None, pos_users=None, neg_users=None):
+    def __init__(self, item_ids, pairs, labels, partition, user_ids=None, users=None):
         self.item_ids = list(item_ids)
-        self.pos_pairs = np.ascontiguousarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
-        self.neg_pairs = np.ascontiguousarray(neg_pairs, dtype=np.int64).reshape(-1, 2)
+        self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        self.labels = np.asarray(labels, dtype=bool).reshape(-1)
         self.partition = partition
         self.user_ids = None if user_ids is None else list(user_ids)
-        self.pos_users = None if pos_users is None else np.ascontiguousarray(pos_users, dtype=np.int64)
-        self.neg_users = None if neg_users is None else np.ascontiguousarray(neg_users, dtype=np.int64)
+        self.users = None if users is None else np.asarray(users, dtype=np.int64).reshape(-1)
         self._validate()
+        order = np.argsort(~self.labels, kind="stable")
+        self.pairs, self.labels = self.pairs[order], self.labels[order]
+        if self.users is not None:
+            self.users = self.users[order]
 
     def _validate(self):
         if self.partition not in PARTITIONS:
             raise DataError(f"unknown partition tag: {self.partition!r}")
-        if len(self.pos_pairs) != len(self.neg_pairs):
-            raise DataError(
-                f"unbalanced pair set: {len(self.pos_pairs)} related vs "
-                f"{len(self.neg_pairs)} unrelated"
-            )
+        m = len(self.pairs)
+        if len(self.labels) != m:
+            raise DataError(f"{m} pairs but {len(self.labels)} labels")
+        related = int(np.count_nonzero(self.labels))
+        if 2 * related != m:
+            raise DataError(f"unbalanced pair set: {related} related vs "
+                            f"{m - related} unrelated")
         n = len(self.item_ids)
-        for name, pairs in (("related", self.pos_pairs), ("unrelated", self.neg_pairs)):
-            if len(pairs) == 0:
-                continue
-            if pairs.min() < 0 or pairs.max() >= n:
-                raise DataError(f"{name} pair index out of range")
-            if np.any(pairs[:, 0] >= pairs[:, 1]):
-                raise DataError(f"{name} pairs must be canonical (i < j, no self-pairs)")
-        pos_keys = self.pos_pairs[:, 0] * n + self.pos_pairs[:, 1]
-        neg_keys = self.neg_pairs[:, 0] * n + self.neg_pairs[:, 1]
-        if np.intersect1d(pos_keys, neg_keys).size:
+        if m and (self.pairs.min() < 0 or self.pairs.max() >= n):
+            raise DataError("pair index out of range")
+        if np.any(self.pairs[:, 0] >= self.pairs[:, 1]):
+            raise DataError("pairs must be canonical (i < j, no self-pairs)")
+        keys = _encode(self.pairs, n)
+        if np.intersect1d(keys[self.labels], keys[~self.labels]).size:
             raise DataError("a pair appears with both labels")
-        has_users = self.user_ids is not None
-        if has_users != (self.pos_users is not None) or has_users != (self.neg_users is not None):
+        if (self.user_ids is None) != (self.users is None):
             raise DataError("user annotations must be all present or all absent")
-        if has_users:
-            if len(self.pos_users) != len(self.pos_pairs) or len(self.neg_users) != len(self.neg_pairs):
+        if self.users is not None:
+            if len(self.users) != m:
                 raise DataError("user annotation length mismatch")
-            u = len(self.user_ids)
-            for users in (self.pos_users, self.neg_users):
-                if len(users) and (users.min() < 0 or users.max() >= u):
-                    raise DataError("user index out of range")
+            if m and (self.users.min() < 0 or self.users.max() >= len(self.user_ids)):
+                raise DataError("user index out of range")
 
     @property
     def n_pairs(self) -> int:
-        return len(self.pos_pairs) + len(self.neg_pairs)
-
-    def arrays(self):
-        """(i_idx, j_idx, labels, user_idx or None) over positives then negatives."""
-        i_idx = np.concatenate([self.pos_pairs[:, 0], self.neg_pairs[:, 0]])
-        j_idx = np.concatenate([self.pos_pairs[:, 1], self.neg_pairs[:, 1]])
-        labels = np.concatenate([
-            np.ones(len(self.pos_pairs), dtype=bool),
-            np.zeros(len(self.neg_pairs), dtype=bool),
-        ])
-        users = None
-        if self.user_ids is not None:
-            users = np.concatenate([self.pos_users, self.neg_users])
-        return i_idx, j_idx, labels, users
+        return len(self.pairs)
 
 
 def _encode(pairs: np.ndarray, n_items: int) -> np.ndarray:
@@ -102,15 +91,15 @@ def graph_to_pairs(graph: RelationGraph, features: FeatureMatrix) -> np.ndarray:
     return out
 
 
-def sample_negatives(pos_pairs: np.ndarray, n_items: int, seed: int) -> np.ndarray:
+def sample_negatives(related: np.ndarray, n_items: int, seed: int) -> np.ndarray:
     """Uniform rejection sample of |R| unordered non-edges.
 
-    Returns an (m, 2) int64 array disjoint from pos_pairs, without self-pairs
-    or duplicates. Errors out when positives cover at least half of all
-    unordered pairs, where rejection sampling would stall.
+    Returns an (m, 2) int64 array disjoint from the related pairs, without
+    self-pairs or duplicates. Errors out when positives cover at least half
+    of all unordered pairs, where rejection sampling would stall.
     """
-    pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
-    m = len(pos_pairs)
+    related = np.asarray(related, dtype=np.int64).reshape(-1, 2)
+    m = len(related)
     if m == 0:
         raise DataError("cannot sample negatives for an empty graph")
     if n_items < 2:
@@ -122,7 +111,7 @@ def sample_negatives(pos_pairs: np.ndarray, n_items: int, seed: int) -> np.ndarr
             "for rejection sampling of an equal-size negative set"
         )
     rng = np.random.default_rng(seed)
-    excluded = np.unique(_encode(pos_pairs, n_items))
+    excluded = np.unique(_encode(related, n_items))
     if len(excluded) != m:
         raise DataError("duplicate positive pairs")
     taken = []
@@ -152,27 +141,23 @@ def sample_negatives(pos_pairs: np.ndarray, n_items: int, seed: int) -> np.ndarr
     return out
 
 
-def split(pos_pairs, neg_pairs, seed, item_ids=None, user_ids=None,
-          pos_users=None, neg_users=None) -> dict:
-    """Shuffle and split balanced positives/negatives 80/10/10 by count.
+def split(pairs: LabeledPairSet, seed) -> dict:
+    """Shuffle and split a balanced pair set 80/10/10 by count.
 
-    Validation and test sizes are floor(0.1 m); the remainder goes to train,
-    with train positives capped at 2,000,000 (negatives trimmed to match).
-    Returns {"train": ..., "validation": ..., "test": ...} LabeledPairSets.
+    Related and unrelated rows are shuffled by one permutation each. With m
+    related rows, validation and test get floor(0.1 m) of each label; the
+    remainder goes to train, with train positives capped at 2,000,000
+    (negatives trimmed to match). Returns {"train": ..., "validation": ...,
+    "test": ...} LabeledPairSets over the same item and user tables.
     """
-    pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
-    neg_pairs = np.asarray(neg_pairs, dtype=np.int64).reshape(-1, 2)
-    m = len(pos_pairs)
-    if len(neg_pairs) != m:
-        raise DataError(f"positives ({m}) and negatives ({len(neg_pairs)}) must balance")
+    related = np.flatnonzero(pairs.labels)
+    unrelated = np.flatnonzero(~pairs.labels)
+    m = len(related)
     if m < 10:
         raise DataError(f"need at least 10 positive pairs to split, got {m}")
-    if item_ids is None:
-        top = int(max(pos_pairs.max(), neg_pairs.max())) + 1
-        item_ids = [str(i) for i in range(top)]
     rng = np.random.default_rng(seed)
-    pos_order = rng.permutation(m)
-    neg_order = rng.permutation(m)
+    related = related[rng.permutation(m)]
+    unrelated = unrelated[rng.permutation(m)]
     n_val = int(m * _VAL_FRACTION)
     n_test = int(m * _TEST_FRACTION)
     n_train = min(m - n_val - n_test, TRAIN_POSITIVE_CAP)
@@ -183,12 +168,10 @@ def split(pos_pairs, neg_pairs, seed, item_ids=None, user_ids=None,
     }
     out = {}
     for tag, (lo, hi) in bounds.items():
-        p_sel, n_sel = pos_order[lo:hi], neg_order[lo:hi]
+        rows = np.concatenate([related[lo:hi], unrelated[lo:hi]])
         out[tag] = LabeledPairSet(
-            item_ids, pos_pairs[p_sel], neg_pairs[n_sel], tag,
-            user_ids,
-            None if pos_users is None else np.asarray(pos_users, dtype=np.int64)[p_sel],
-            None if neg_users is None else np.asarray(neg_users, dtype=np.int64)[n_sel],
+            pairs.item_ids, pairs.pairs[rows], pairs.labels[rows], tag, pairs.user_ids,
+            None if pairs.users is None else pairs.users[rows],
         )
     return out
 
@@ -227,8 +210,7 @@ def build_user_dataset(triples: UserTripleSet, features: FeatureMatrix, seed: in
 
     seen_pos: set = set()
     seen_neg: set = set()
-    pos_rows, pos_users = [], []
-    neg_rows, neg_users = [], []
+    rows, labels, users = [], [], []
     for uidx, u in enumerate(qualified):
         rng = np.random.default_rng(np.random.SeedSequence([seed, uidx]))
         cand = []
@@ -243,9 +225,10 @@ def build_user_dataset(triples: UserTripleSet, features: FeatureMatrix, seed: in
             cand = [cand[p] for p in picks]
         for lo, hi, key in cand:
             seen_pos.add(key)
-            pos_rows.append((lo, hi))
-            pos_users.append(uidx)
+            rows.append((lo, hi))
         need = len(cand)
+        labels += [True] * need + [False] * need
+        users += [uidx] * (2 * need)
         while need > 0:
             a = int(rng.integers(0, n))
             b = int(rng.integers(0, n))
@@ -256,64 +239,47 @@ def build_user_dataset(triples: UserTripleSet, features: FeatureMatrix, seed: in
             if key in all_pos_keys or key in seen_neg:
                 continue
             seen_neg.add(key)
-            neg_rows.append((lo, hi))
-            neg_users.append(uidx)
+            rows.append((lo, hi))
             need -= 1
-    return LabeledPairSet(
-        features.item_ids,
-        np.array(pos_rows, dtype=np.int64).reshape(-1, 2),
-        np.array(neg_rows, dtype=np.int64).reshape(-1, 2),
-        "all",
-        [str(u) for u in qualified],
-        np.array(pos_users, dtype=np.int64),
-        np.array(neg_users, dtype=np.int64),
-    )
+    return LabeledPairSet(features.item_ids, rows, labels, "all",
+                          [str(u) for u in qualified], users)
 
 
 def save_pairs(pairs: LabeledPairSet, path):
+    ids = pairs.item_ids
+    if pairs.user_ids is None:
+        tails = [""] * pairs.n_pairs
+    else:
+        tails = [f"\t{pairs.user_ids[u]}" for u in pairs.users.tolist()]
     with atomic_writer(path) as f:
         f.write(f"#partition {pairs.partition}\n")
-        for row in range(len(pairs.pos_pairs)):
-            i, j = pairs.pos_pairs[row]
-            line = f"{pairs.item_ids[i]}\t{pairs.item_ids[j]}\trelated"
-            if pairs.user_ids is not None:
-                line += f"\t{pairs.user_ids[pairs.pos_users[row]]}"
-            f.write(line + "\n")
-        for row in range(len(pairs.neg_pairs)):
-            i, j = pairs.neg_pairs[row]
-            line = f"{pairs.item_ids[i]}\t{pairs.item_ids[j]}\tunrelated"
-            if pairs.user_ids is not None:
-                line += f"\t{pairs.user_ids[pairs.neg_users[row]]}"
-            f.write(line + "\n")
+        for (i, j), related, tail in zip(pairs.pairs.tolist(), pairs.labels.tolist(), tails):
+            f.write(f"{ids[i]}\t{ids[j]}\t{_LABELS[related]}{tail}\n")
 
 
 def load_pairs(path, features: FeatureMatrix) -> LabeledPairSet:
-    """Read a pair file back into index space against a feature matrix."""
+    """Read a pair file back into index space against a feature matrix.
+
+    Rows come back related first, each half in file order.
+    """
     records = read_records(path, (3, 4), header="#partition <tag>")
     _, (partition,) = next(records)
-    rows = []  # (i, j, related, user or None)
+    rows, labels, users = [], [], []
     for lineno, fields in records:
-        a, b, label = fields[0], fields[1], fields[2]
-        if label not in ("related", "unrelated"):
-            raise DataError(f"{path}:{lineno}: unknown label {label!r}")
-        ia, ib = features.index_of(a), features.index_of(b)
+        if fields[2] not in _LABELS:
+            raise DataError(f"{path}:{lineno}: unknown label {fields[2]!r}")
+        ia, ib = features.index_of(fields[0]), features.index_of(fields[1])
         if ia == ib:
             raise DataError(f"{path}:{lineno}: self-pair")
-        user = fields[3] if len(fields) == 4 else None
-        rows.append((min(ia, ib), max(ia, ib), label == "related", user))
-    has_users = any(r[3] is not None for r in rows)
-    if has_users and not all(r[3] is not None for r in rows):
-        raise DataError(f"{path}: user column present on some lines but not all")
-    user_ids = sorted({r[3] for r in rows}) if has_users else None
-    uindex = {u: k for k, u in enumerate(user_ids)} if has_users else None
-    pos = [(i, j) for i, j, rel, _ in rows if rel]
-    neg = [(i, j) for i, j, rel, _ in rows if not rel]
-    pos_users = [uindex[u] for i, j, rel, u in rows if rel] if has_users else None
-    neg_users = [uindex[u] for i, j, rel, u in rows if not rel] if has_users else None
-    return LabeledPairSet(
-        features.item_ids,
-        np.array(pos, dtype=np.int64).reshape(-1, 2),
-        np.array(neg, dtype=np.int64).reshape(-1, 2),
-        partition,
-        user_ids, pos_users, neg_users,
-    )
+        rows.append((ia, ib) if ia < ib else (ib, ia))
+        labels.append(fields[2] == "related")
+        users.append(fields[3] if len(fields) == 4 else None)
+    user_ids = None
+    if any(u is not None for u in users):
+        if None in users:
+            raise DataError(f"{path}: user column present on some lines but not all")
+        user_ids = sorted(set(users))
+        index = {u: k for k, u in enumerate(user_ids)}
+        users = [index[u] for u in users]
+    return LabeledPairSet(features.item_ids, rows, labels, partition, user_ids,
+                          None if user_ids is None else users)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import (DataError, FeatureMatrix, MetricModel, atomic_writer,
-                      read_matrix, write_matrix)
+                      normalize_rows, read_matrix, write_matrix)
 from .metric import _rowwise_sqnorm, project_rows
 
 _ASSIGN_BLOCK = 2048
@@ -65,7 +65,7 @@ def embed_all(model: MetricModel, features: FeatureMatrix) -> StyleEmbedding:
     """Project every item into style space under a low-rank model."""
     if model.kind == "weighted_nn":
         raise DataError("weighted_nn models have no style-space transform")
-    X = features.normalized(model.feature_norm).values
+    X = normalize_rows(features.values, model.feature_norm)
     return StyleEmbedding(features.item_ids, project_rows(X, model.transform))
 
 

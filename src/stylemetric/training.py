@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import FEATURE_NORMS, DataError, MetricModel
+from .catalog import FEATURE_NORMS, DataError, MetricModel, normalize_rows
 from .metric import pair_distances_style, pair_terms, project_rows, sigmoid, softplus
 from .sampling import LabeledPairSet
 
@@ -113,11 +113,14 @@ class TrainReport:
 
 
 def _pair_arrays(pairs, features=None):
-    """Accept a LabeledPairSet or a plain (i, j, labels[, users]) tuple."""
+    """(i_idx, j_idx, labels, users or None) from a LabeledPairSet or a plain
+    (i, j, labels[, users]) tuple; a pair set's columns are copied once into
+    contiguous arrays."""
     if isinstance(pairs, LabeledPairSet):
         if features is not None and pairs.item_ids != features.item_ids:
             raise DataError("pair set item table does not match the feature matrix")
-        return pairs.arrays()
+        return (np.ascontiguousarray(pairs.pairs[:, 0]),
+                np.ascontiguousarray(pairs.pairs[:, 1]), pairs.labels, pairs.users)
     i_idx = np.asarray(pairs[0], dtype=np.int64)
     j_idx = np.asarray(pairs[1], dtype=np.int64)
     labels = np.asarray(pairs[2], dtype=bool)
@@ -287,7 +290,7 @@ def _users_for_model(model: MetricModel, pairs, users):
 
 
 def _objective_for_model(model: MetricModel, features, pairs):
-    X = features.normalized(model.feature_norm).values
+    X = normalize_rows(features.values, model.feature_norm)
     i_idx, j_idx, labels, users = _pair_arrays(pairs, features)
     kind = model.kind
     n_users = 0
@@ -436,7 +439,7 @@ def _fit(config: TrainConfig, kind, features, pairs, warm_start, progress):
         raise DataError(
             f"training expects the train partition, got {pairs.partition!r}"
         )
-    X = features.normalized(config.feature_norm).values
+    X = normalize_rows(features.values, config.feature_norm)
     if X.shape[1] == 0:
         raise DataError("cannot train on features with zero columns")
     i_idx, j_idx, labels, users = _pair_arrays(pairs, features)

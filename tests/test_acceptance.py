@@ -7,6 +7,7 @@ the pass/fail verdict per criterion.
 
 import hashlib
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -29,6 +30,12 @@ from stylemetric.training import TrainConfig, gradient, log_likelihood, train, \
 
 def _report(name, detail):
     print(f"criterion {name}: PASS ({detail})")
+
+
+def _table(item_ids, pos, neg):
+    """A LabeledPairSet over sampled related and unrelated halves."""
+    return LabeledPairSet(item_ids, np.concatenate([pos, neg]),
+                          np.repeat([True, False], len(pos)), "all")
 
 
 # -------------------------------------------------------------------------
@@ -160,11 +167,10 @@ def test_criterion_03_threshold_semantics():
             continue
         seen.add((i, j))
         (pos if len(pos) < 30 else neg).append((i, j))
-    ps = LabeledPairSet(feats.item_ids, np.array(pos, dtype=np.int64),
-                        np.array(neg, dtype=np.int64), "test")
+    ps = LabeledPairSet(feats.item_ids, pos + neg, [True] * 30 + [False] * 30, "test")
     rep = evaluate(model, feats, ps)
-    i_idx, j_idx, labels, _ = ps.arrays()
-    d = model_distances(model, feats.values, i_idx, j_idx)
+    labels = ps.labels
+    d = model_distances(model, feats.values, ps.pairs[:, 0], ps.pairs[:, 1])
     assert d[0] == 1.0  # tie is exact
     pred = d < model.threshold
     assert rep.tp == int(np.sum(pred & labels))
@@ -186,7 +192,7 @@ def test_criterion_04_planted_metric_recovery():
     res = generate(cfg)
     pos = graph_to_pairs(res.graph, res.features)
     neg = sample_negatives(pos, res.features.n_items, seed=11)
-    parts = split(pos, neg, seed=11, item_ids=res.features.item_ids)
+    parts = split(_table(res.features.item_ids, pos, neg), seed=11)
     tc = TrainConfig(kind="low_rank", rank=4, max_iterations=200, seed=0)
     model, _ = train(tc, res.features, parts["train"])
     acc = evaluate(model, res.features, parts["test"]).accuracy
@@ -215,9 +221,7 @@ def test_criterion_05_personalization_gain():
                           mode="two_population_users", seed=seed)
         res = generate(cfg)
         pairs = build_user_dataset(res.triples, res.features, seed)
-        parts = split(pairs.pos_pairs, pairs.neg_pairs, seed,
-                      item_ids=pairs.item_ids, user_ids=pairs.user_ids,
-                      pos_users=pairs.pos_users, neg_users=pairs.neg_users)
+        parts = split(pairs, seed)
         tc = TrainConfig(kind="low_rank", rank=4, max_iterations=200, seed=0)
         gmodel, _ = train(tc, res.features, parts["train"])
         acc_g = evaluate(gmodel, res.features, parts["test"]).accuracy
@@ -246,12 +250,13 @@ def test_criterion_06_split_protocol():
     neg = sample_negatives(pos, res.features.n_items, seed=60)
     pos_keys = {tuple(p) for p in pos.tolist()}
     assert all(tuple(q) not in pos_keys for q in neg.tolist())
-    parts = split(pos, neg, seed=60, item_ids=res.features.item_ids)
-    assert len(parts["validation"].pos_pairs) == 500  # floor(0.1 * 5003)
-    assert len(parts["test"].pos_pairs) == 500
-    assert len(parts["train"].pos_pairs) == 4003
+    parts = split(_table(res.features.item_ids, pos, neg), seed=60)
+    related = {tag: int(np.count_nonzero(ps.labels)) for tag, ps in parts.items()}
+    assert related["validation"] == 500  # floor(0.1 * 5003)
+    assert related["test"] == 500
+    assert related["train"] == 4003
     for tag in ("train", "validation", "test"):
-        assert len(parts[tag].pos_pairs) == len(parts[tag].neg_pairs)
+        assert 2 * related[tag] == parts[tag].n_pairs
 
     # the 2,000,000-positive training cap binds on a 2.5M-edge instance
     m = 2_500_000
@@ -261,10 +266,11 @@ def test_criterion_06_split_protocol():
     big_pos = np.column_stack([lo_p, lo_p + 1])
     lo_n = rng.integers(0, n - 2, size=m, dtype=np.int64)
     big_neg = np.column_stack([lo_n, lo_n + 2])
-    big = split(big_pos, big_neg, seed=62)
-    assert len(big["validation"].pos_pairs) == 250_000
-    assert len(big["test"].pos_pairs) == 250_000
-    assert len(big["train"].pos_pairs) == TRAIN_POSITIVE_CAP == 2_000_000
+    big = split(_table([str(k) for k in range(n)], big_pos, big_neg), seed=62)
+    related = {tag: int(np.count_nonzero(ps.labels)) for tag, ps in big.items()}
+    assert related["validation"] == 250_000
+    assert related["test"] == 250_000
+    assert related["train"] == TRAIN_POSITIVE_CAP == 2_000_000
     _report("06 split protocol",
             "80/10/10 floor rule, balanced, negatives disjoint; "
             "train positives capped at exactly 2,000,000 on E=2.5M")
@@ -382,7 +388,7 @@ def _digest_tree(root):
                 continue  # run metadata records wall time by design
             p = os.path.join(dirpath, name)
             out[os.path.relpath(p, root)] = hashlib.sha256(
-                open(p, "rb").read()).hexdigest()
+                pathlib.Path(p).read_bytes()).hexdigest()
     return out
 
 

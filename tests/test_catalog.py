@@ -56,10 +56,10 @@ def test_feature_matrix_rejects_nonfinite():
 
 
 def test_l2_normalization(features):
-    unit = features.normalized("l2_unit")
-    norms = np.linalg.norm(unit.values, axis=1)
+    unit = normalize_rows(features.values, "l2_unit")
+    norms = np.linalg.norm(unit, axis=1)
     np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
-    assert features.normalized("none") is features
+    assert normalize_rows(features.values, "none") is features.values
 
 
 def test_normalizing_some_rows_equals_those_rows_of_the_whole():
@@ -344,6 +344,18 @@ class TestMetricModel:
         back = load_model(p)
         assert back.user_ids == ["alice", "bob"]
         assert np.array_equal(back.user_weights, m.user_weights)
+
+    def test_model_with_duplicate_user_ids_is_rejected(self, tmp_path):
+        with pytest.raises(DataError):
+            MetricModel("personalized", np.ones((3, 2)), 1.0,
+                        user_ids=["u", "u"], user_weights=np.ones((2, 2)))
+        m = MetricModel("personalized", np.ones((3, 2)), 1.0,
+                        user_ids=["u", "v"], user_weights=np.ones((2, 2)))
+        m.user_ids = ["u", "u"]  # a file the writer would never produce
+        p = tmp_path / "m.bin"
+        save_model(m, p)
+        with pytest.raises(DataError):
+            load_model(p)
 
     def test_model_bad_magic(self, tmp_path):
         p = tmp_path / "m.bin"

@@ -4,6 +4,7 @@ byte-stable re-runs."""
 import hashlib
 import json
 import os
+import pathlib
 import struct
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from stylemetric import cli
-from stylemetric.catalog import load_features, load_model
+from stylemetric.catalog import (FeatureMatrix, MetricModel, load_features, load_model,
+                                 save_features, save_model)
 from stylemetric.recommend import rank_candidates
 
 
@@ -35,7 +37,7 @@ def _tree_digests(root, skip=("run_manifest.json",)):
                 continue
             p = os.path.join(dirpath, name)
             rel = os.path.relpath(p, root)
-            out[rel] = hashlib.sha256(open(p, "rb").read()).hexdigest()
+            out[rel] = hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()
     return out
 
 
@@ -109,7 +111,7 @@ def test_manifest_digests_match_inputs(pipeline):
     assert manifest["seed"] == 5
     assert "pairs.tsv" in manifest["outputs"]
     for path, digest in manifest["inputs"].items():
-        want = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        want = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
         assert digest == want
 
 
@@ -311,6 +313,20 @@ class TestExitCodes:
             bad.write_bytes(blob)
             assert run("eval", "--features", data / "features.tsv",
                        "--pairs", splits / "test.pairs", "--model", bad) == 2
+
+    def test_personalized_model_without_the_pairs_users_is_exit_2(self, tmp_path, capsys):
+        """A user the model's table lacks is a data error, also when the
+        table is empty."""
+        features, pairs, model = tmp_path / "f.tsv", tmp_path / "p.tsv", tmp_path / "m.bin"
+        save_features(FeatureMatrix(["a", "b", "c"], np.eye(3)[:, :2]), features)
+        pairs.write_text("#partition test\na\tb\trelated\tu1\na\tc\tunrelated\tu1\n")
+        for user_ids in ([], ["u2"]):
+            save_model(MetricModel("personalized", np.ones((2, 1)), 1.0, user_ids,
+                                   np.ones((len(user_ids), 1))), model)
+            capsys.readouterr()
+            assert run("eval", "--features", features, "--pairs", pairs,
+                       "--model", model) == 2
+            assert "unknown user id: 'u1'" in capsys.readouterr().err
 
     def test_text_that_is_not_utf8_is_exit_2(self, pipeline, tmp_path, capsys):
         data = pipeline / "data"

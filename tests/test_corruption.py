@@ -31,8 +31,9 @@ FORMATS = {
                 load_triples),
     "categories": (lambda p: save_categories(CategoryMap({"a": "top", "b": "shoe"}), p),
                    load_categories),
-    "pairs": (lambda p: save_pairs(LabeledPairSet(IDS, [[0, 1], [1, 2]], [[2, 3], [0, 3]],
-                                                  "train", ["u1", "u2"], [0, 1], [1, 0]), p),
+    "pairs": (lambda p: save_pairs(LabeledPairSet(IDS, [[0, 1], [1, 2], [2, 3], [0, 3]],
+                                                  [True, True, False, False], "train",
+                                                  ["u1", "u2"], [0, 1, 1, 0]), p),
               lambda p: load_pairs(p, FEATURES)),
     "embedding": (lambda p: save_embedding(StyleEmbedding(IDS[:3], np.eye(3)[:, :2] - 0.5), p),
                   load_embedding),

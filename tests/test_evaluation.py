@@ -25,8 +25,7 @@ def _fixture(seed=0, n=30, f=5, m=40):
             continue
         seen.add((i, j))
         (pos if len(pos) < m else neg).append((i, j))
-    ps = LabeledPairSet(feats.item_ids, np.array(pos, dtype=np.int64),
-                        np.array(neg, dtype=np.int64), "test")
+    ps = LabeledPairSet(feats.item_ids, pos + neg, [True] * m + [False] * m, "test")
     model = MetricModel("low_rank", rng.standard_normal((f, 3)), 1.5,
                         metadata={"feature_norm": "none"})
     return feats, ps, model
@@ -43,8 +42,8 @@ def test_decision_is_exactly_distance_below_threshold():
     feats, ps, model = _fixture(seed=1)
     rep = evaluate(model, feats, ps)
     X = feats.values
-    i, j, labels, _ = ps.arrays()
-    d = model_distances(model, X, i, j)
+    labels = ps.labels
+    d = model_distances(model, X, ps.pairs[:, 0], ps.pairs[:, 1])
     pred = d < model.threshold
     assert rep.tp == int(np.sum(pred & labels))
     assert rep.tn == int(np.sum(~pred & ~labels))
@@ -57,9 +56,7 @@ def test_tie_distance_counts_as_unrelated():
     feats = FeatureMatrix(["a", "b", "c"], X)
     model = MetricModel("low_rank", np.eye(2), 1.0)
     # d(a,b) = 1.0 = c exactly (the tie), d(a,c) = 0.01 < c
-    ps = LabeledPairSet(["a", "b", "c"],
-                        np.array([[0, 2]], dtype=np.int64),
-                        np.array([[0, 1]], dtype=np.int64), "test")
+    ps = LabeledPairSet(["a", "b", "c"], [[0, 2], [0, 1]], [True, False], "test")
     rep = evaluate(model, feats, ps)
     assert rep.tn == 1 and rep.fp == 0 and rep.tp == 1
 
@@ -72,9 +69,7 @@ def test_perfect_model_on_separable_data():
     feats = FeatureMatrix([f"i{z}" for z in range(16)], X)
     pos = [(i, j) for i in range(8) for j in range(i + 1, 8)]
     neg = [(i, 8 + i) for i in range(8)]
-    ps = LabeledPairSet(feats.item_ids,
-                        np.array(pos[:8], dtype=np.int64),
-                        np.array(neg, dtype=np.int64), "test")
+    ps = LabeledPairSet(feats.item_ids, pos[:8] + neg, [True] * 8 + [False] * 8, "test")
     model = MetricModel("low_rank", np.eye(3), 10.0)
     assert evaluate(model, feats, ps).accuracy == 1.0
 
@@ -104,7 +99,7 @@ def test_model_digest_tracks_parameters():
 
 def test_fit_wnn_produces_weighted_model():
     feats, ps, _ = _fixture(seed=5)
-    train_ps = LabeledPairSet(ps.item_ids, ps.pos_pairs, ps.neg_pairs, "train")
+    train_ps = LabeledPairSet(ps.item_ids, ps.pairs, ps.labels, "train")
     cfg = TrainConfig(kind="low_rank", rank=3, max_iterations=30, seed=0)
     model, report = fit_wnn(cfg, feats, train_ps)
     assert model.kind == "weighted_nn"
@@ -168,11 +163,8 @@ def test_evaluate_personalized_maps_pair_users_to_model_rows():
                         user_ids=["ua", "ub"], user_weights=W,
                         metadata={"feature_norm": "none"})
     # pair set lists users in the opposite order to the model table
-    ps = LabeledPairSet(feats.item_ids,
-                        np.array([[0, 1]], dtype=np.int64),
-                        np.array([[2, 3]], dtype=np.int64), "test",
-                        user_ids=["ub", "ua"],
-                        pos_users=np.array([0]), neg_users=np.array([1]))
+    ps = LabeledPairSet(feats.item_ids, [[0, 1], [2, 3]], [True, False], "test",
+                        user_ids=["ub", "ua"], users=[0, 1])
     rep = evaluate(model, feats, ps)
     d_pos = model_distances(model, X, np.array([0]), np.array([1]),
                             user_idx=np.array([model.user_index("ub")]))

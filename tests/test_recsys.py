@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stylemetric.catalog import DataError, FeatureMatrix, MetricModel
+from stylemetric.catalog import DataError, FeatureMatrix, MetricModel, normalize_rows
 from stylemetric.metric import dist_lowrank, link_probability
 from stylemetric.recommend import (OutfitScore, build_outfit, makeover_delta,
                                    outfit_coherence, rank_candidates,
@@ -110,7 +110,7 @@ def test_l2_unit_model_matches_normalizing_the_whole_catalog(kind):
              if kind == "personalized" else {})
     l2 = MetricModel(kind, transform, 1.0, metadata={"feature_norm": "l2_unit"}, **extra)
     raw = MetricModel(kind, transform, 1.0, metadata={"feature_norm": "none"}, **extra)
-    unit = feats.normalized("l2_unit")
+    unit = FeatureMatrix(feats.item_ids, normalize_rows(X, "l2_unit"))
     cands = feats.item_ids[1:]
     assert rank_candidates(l2, feats, "i000", cands) == rank_candidates(raw, unit, "i000", cands)
     slots = [cands[:50], cands[50:120], cands[120:]]

@@ -32,7 +32,8 @@ def test_noiseless_labels_match_ground_truth_exactly():
     res = generate(cfg)
     pos = graph_to_pairs(res.graph, res.features)
     neg = sample_negatives(pos, res.features.n_items, seed=2)
-    ps = LabeledPairSet(res.features.item_ids, pos, neg, "all")
+    ps = LabeledPairSet(res.features.item_ids, np.concatenate([pos, neg]),
+                        np.repeat([True, False], len(pos)), "all")
     rep = evaluate(res.ground_truth_model(), res.features, ps)
     assert rep.accuracy == 1.0
 

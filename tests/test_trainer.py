@@ -134,7 +134,7 @@ def _toy_pairs(seed=0, n=40, f=6, m=60):
             row -= 1
         pairs.append((i, i + 1 + int(key)))
     pairs = np.array(pairs, dtype=np.int64)
-    ps = LabeledPairSet(feats.item_ids, pairs[:m], pairs[m:], "train")
+    ps = LabeledPairSet(feats.item_ids, pairs, np.arange(2 * m) < m, "train")
     return feats, ps
 
 
@@ -168,9 +168,8 @@ class TestTrainLoop:
             for j in range(i + 1, 10):
                 pos.append((i, j))
                 neg.append((i, 10 + j))
-        ps = LabeledPairSet(feats.item_ids,
-                            np.array(pos, dtype=np.int64),
-                            np.array(neg, dtype=np.int64), "train")
+        ps = LabeledPairSet(feats.item_ids, pos + neg,
+                            [True] * len(pos) + [False] * len(neg), "train")
         cfg = TrainConfig(kind="low_rank", rank=2, max_iterations=150, seed=1)
         model, report = train(cfg, feats, ps)
         assert report.train_accuracy == 1.0
@@ -222,7 +221,7 @@ class TestTrainLoop:
 
     def test_requires_train_partition(self):
         feats, ps = _toy_pairs(seed=11)
-        bad = LabeledPairSet(ps.item_ids, ps.pos_pairs, ps.neg_pairs, "test")
+        bad = LabeledPairSet(ps.item_ids, ps.pairs, ps.labels, "test")
         cfg = TrainConfig(kind="low_rank", rank=2, seed=0)
         with pytest.raises(DataError):
             train(cfg, feats, bad)
@@ -278,11 +277,10 @@ def _user_pairs(seed=0, n=60, f=8, n_users=4, per_user=30):
                 neg.append((i, j))
                 nu.append(u)
             got += 1
-    return feats, LabeledPairSet(feats.item_ids,
-                                 np.array(pos, dtype=np.int64),
-                                 np.array(neg, dtype=np.int64), "train",
+    return feats, LabeledPairSet(feats.item_ids, pos + neg,
+                                 [True] * len(pos) + [False] * len(neg), "train",
                                  user_ids=[f"u{z}" for z in range(n_users)],
-                                 pos_users=np.array(pu), neg_users=np.array(nu))
+                                 users=pu + nu)
 
 
 class TestTrainPersonalized:
