@@ -25,13 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import FeatureMatrix, MetricModel, RelationGraph, UserTripleSet
-from .metric import pair_distances_style, project_rows
+from .metric import pair_distances_style, pair_terms, project_rows
 
 MODES = ("axis_aligned", "cross_feature", "two_population_users")
 
 _PAIRS_PER_USER = 50
 _USER_THRESHOLD_QUANTILE = 0.10
 _USER_CANDIDATE_DRAWS = 4096
+# Pairs per step of generate's pass over the upper triangle. It bounds the
+# pass's temporary memory and never changes a result.
+_TRIU_BLOCK = 1 << 16
 
 
 @dataclass
@@ -104,6 +107,81 @@ def _item_ids(n: int):
     return [f"i{idx:0{width}d}" for idx in range(n)]
 
 
+def _row_starts(n: int) -> np.ndarray:
+    """Linear index of pair (i, i+1) in row-major upper-triangle order.
+
+    starts[i] = i(2n - i - 1)/2 in exact int64 arithmetic; starts[n-1] is the
+    pair count, so row i holds the linear indices [starts[i], starts[i+1]).
+    """
+    i = np.arange(n, dtype=np.int64)
+    return i * (2 * n - i - 1) // 2
+
+
+def _triu_pairs(t, starts: np.ndarray):
+    """Map linear upper-triangle indices t to their (i, j), exactly."""
+    i = np.searchsorted(starts, t, side="right") - 1
+    return i, t - starts[i] + i + 1
+
+
+def _triu_distance_blocks(S: np.ndarray, starts: np.ndarray):
+    """Yield (t0, d) for consecutive _TRIU_BLOCK-pair runs of the upper triangle.
+
+    d[k] is the planted distance of linear pair t0 + k. Each row's share of a
+    block is one pair_terms call on the row slice S[j0:j1], which gives the
+    same bits as the gathered index pairs would.
+    """
+    rows = starts.tolist()
+    n_pairs = rows[-1]
+    i = 0
+    for t0 in range(0, n_pairs, _TRIU_BLOCK):
+        t1 = min(t0 + _TRIU_BLOCK, n_pairs)
+        parts = []
+        t = t0
+        while t < t1:
+            while rows[i + 1] <= t:
+                i += 1
+            stop = min(t1, rows[i + 1])
+            j0 = t - rows[i] + i + 1
+            parts.append(pair_terms(S, i, slice(j0, j0 + stop - t))[2])
+            t = stop
+        yield t0, parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _smallest(d: np.ndarray, t: np.ndarray, keep: int):
+    if len(d) <= keep:
+        return d, t
+    idx = np.argpartition(d, keep - 1)[:keep]
+    return d[idx], t[idx]
+
+
+def _scan_planted_distances(S: np.ndarray, starts: np.ndarray, keep: int, c_star):
+    """One pass over the upper triangle, holding no pair table.
+
+    Returns the `keep` smallest distances with their linear indices (ties at
+    the largest kept value are broken arbitrarily) and, for an explicit
+    c_star, the ascending linear indices of the pairs with d < c_star. The
+    selection buffers candidates and drops every distance above the current
+    keep-th smallest, so it holds at most about 2 * keep pairs.
+    """
+    buf_d, buf_t, held = [], [], 0
+    cutoff = np.inf
+    below = []
+    for t0, d in _triu_distance_blocks(S, starts):
+        if c_star is not None:
+            below.append(t0 + np.flatnonzero(d < c_star))
+        hit = np.flatnonzero(d < cutoff)
+        buf_d.append(d[hit])
+        buf_t.append(t0 + hit)
+        held += len(hit)
+        if held >= 2 * keep:
+            small_d, small_t = _smallest(np.concatenate(buf_d), np.concatenate(buf_t), keep)
+            cutoff = small_d.max()
+            buf_d, buf_t, held = [small_d], [small_t], keep
+    small_d, small_t = _smallest(np.concatenate(buf_d), np.concatenate(buf_t), keep)
+    below_t = np.concatenate(below) if c_star is not None else None
+    return small_d, small_t, below_t
+
+
 def generate(config: SynthConfig) -> SynthResult:
     """Sample a catalog, plant a metric, and emit labeled relationships.
 
@@ -115,7 +193,16 @@ def generate(config: SynthConfig) -> SynthResult:
 
     With noise > 0, a Binomial(n_edges, noise) number of emitted edges are
     swapped for uniformly drawn rule-negative pairs, so the edge list keeps
-    its size while that fraction of labels contradicts the planted rule.
+    its size while that fraction of labels contradicts the planted rule. An
+    explicit c* that leaves fewer rule-negative pairs than that raises
+    ValueError.
+
+    The planted distances are computed in one blocked pass over the upper
+    triangle that keeps only the n_edges+1 smallest (and, for an explicit c*,
+    the indices below it), so memory grows with n_edges rather than with the
+    N(N-1)/2 pairs. Pairs are numbered by their row-major upper-triangle
+    index t, and a flip draw maps t to (i, j) and computes that one pair's
+    distance, with the same bits as the pass.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -130,22 +217,20 @@ def generate(config: SynthConfig) -> SynthResult:
     if config.mode == "two_population_users":
         return _generate_two_population(config, features, Y, S, info)
 
-    ii, jj = np.triu_indices(N, k=1)
-    ii = ii.astype(np.int64)
-    jj = jj.astype(np.int64)
-    d = pair_distances_style(S, ii, jj)
-
-    if config.c_star is None:
-        c_star = float(np.partition(d, E)[E])
-        info["c_star_source"] = "fit_to_edge_count"
+    starts = _row_starts(N)
+    n_pairs = int(starts[-1])
+    explicit = None if config.c_star is None else float(config.c_star)
+    small_d, small_t, below_t = _scan_planted_distances(S, starts, E + 1, explicit)
+    if explicit is not None and len(below_t) >= E:
+        c_star = explicit
+        rule_pos = below_t
+        info["c_star_source"] = "explicit"
     else:
-        c_star = float(config.c_star)
-        if int(np.sum(d < c_star)) < E:
-            c_star = float(np.partition(d, E)[E])
-            info["c_star_source"] = "adjusted_up_to_edge_count"
-        else:
-            info["c_star_source"] = "explicit"
-    rule_pos = np.flatnonzero(d < c_star)
+        # the (E+1)-th smallest distance; every pair below it is in small_t
+        c_star = float(small_d.max())
+        rule_pos = np.sort(small_t[small_d < c_star])
+        info["c_star_source"] = ("fit_to_edge_count" if explicit is None
+                                 else "adjusted_up_to_edge_count")
     info["rule_positive_count"] = int(len(rule_pos))
     if len(rule_pos) > E:
         sel = rng.choice(len(rule_pos), size=E, replace=False)
@@ -154,20 +239,29 @@ def generate(config: SynthConfig) -> SynthResult:
         chosen = rule_pos.copy()
 
     flip_count = int(rng.binomial(E, config.noise)) if config.noise > 0.0 else 0
-    used = set(int(t) for t in chosen)
+    rule_neg_count = n_pairs - len(rule_pos)
+    if flip_count > rule_neg_count:
+        raise ValueError(
+            f"c_star {c_star} leaves {rule_neg_count} rule-negative pairs, "
+            f"fewer than the {flip_count} noise flips"
+        )
+    used = set(chosen.tolist())
     if flip_count:
         flip_at = rng.choice(E, size=flip_count, replace=False)
-        n_pairs = len(d)
         for pos in flip_at:
             while True:
                 t = int(rng.integers(0, n_pairs))
-                if d[t] >= c_star and t not in used:
+                if t in used:
+                    continue
+                i, j = _triu_pairs(t, starts)
+                if pair_distances_style(S, [i], [j])[0] >= c_star:
                     used.add(t)
                     chosen[pos] = t
                     break
     info["flip_count"] = flip_count
 
-    edges = {(item_ids[ii[t]], item_ids[jj[t]], "also_bought") for t in chosen}
+    ii, jj = _triu_pairs(chosen, starts)
+    edges = {(item_ids[i], item_ids[j], "also_bought") for i, j in zip(ii.tolist(), jj.tolist())}
     graph = RelationGraph(edges)
     info["c_star_used"] = c_star
     return SynthResult(features, graph, Y, c_star, None, info)

@@ -278,7 +278,8 @@ def _scatter_rows(out, idx, rows):
 def _users_for_model(model: MetricModel, pairs, users):
     """Pair-set user indices remapped onto the model's user table.
 
-    None unless the model is personalized and the pairs carry users.
+    None unless the model is personalized and the pairs carry users. Plain
+    tuple users index the model's table directly and must lie inside it.
     """
     if users is None or model.kind != "personalized":
         return None
@@ -286,6 +287,9 @@ def _users_for_model(model: MetricModel, pairs, users):
             and model.user_ids is not None and pairs.user_ids != model.user_ids:
         remap = np.array([model.user_index(u) for u in pairs.user_ids], dtype=np.int64)
         return remap[users]
+    if model.user_ids is not None and len(users) \
+            and (users.min() < 0 or users.max() >= len(model.user_ids)):
+        raise DataError(f"user index out of range for the model's {len(model.user_ids)} users")
     return users
 
 

@@ -328,6 +328,20 @@ class TestExitCodes:
                        "--model", model) == 2
             assert "unknown user id: 'u1'" in capsys.readouterr().err
 
+    def test_c_star_leaving_too_few_rule_negatives_is_exit_2(self, tmp_path):
+        """A c_star so loose that fewer pairs lie at or above it than there
+        are noise flips is refused at once; the flip draws used to loop
+        forever. The child runs under a timeout so a regression fails."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["synth", "--n", 200, "--f", 8, "--k", 2, "--edges", 100, "--noise", 0.1,
+                "--c-star", 50, "--seed", 9, "--out", tmp_path / "x"]
+        done = subprocess.run([sys.executable, "-m", "stylemetric.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "rule-negative" in done.stderr
+        assert not (tmp_path / "x" / "edges.tsv").exists()
+
     def test_text_that_is_not_utf8_is_exit_2(self, pipeline, tmp_path, capsys):
         data = pipeline / "data"
         bad = tmp_path / "bad.tsv"

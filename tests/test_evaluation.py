@@ -10,7 +10,7 @@ from stylemetric.evaluation import (EVAL_TSV_HEADER, CTPredictor, EvalReport,
                                     predict_ct)
 from stylemetric.metric import model_distances
 from stylemetric.sampling import LabeledPairSet
-from stylemetric.training import TrainConfig
+from stylemetric.training import TrainConfig, log_likelihood
 
 
 def _fixture(seed=0, n=30, f=5, m=40):
@@ -170,3 +170,17 @@ def test_evaluate_personalized_maps_pair_users_to_model_rows():
                             user_idx=np.array([model.user_index("ub")]))
     want_tp = int(d_pos[0] < model.threshold)
     assert rep.tp == want_tp
+
+
+def test_tuple_users_outside_the_model_table_are_a_data_error():
+    """Plain (i, j, labels, users) arrays index the model's user table
+    directly; an index past its end is a DataError, not an IndexError."""
+    feats = FeatureMatrix(["a", "b", "c"], np.eye(3)[:, :2])
+    model = MetricModel("personalized", np.ones((2, 1)), 1.0, ["u0"], np.ones((1, 1)),
+                        metadata={"feature_norm": "none"})
+    pairs = (np.array([0, 0]), np.array([1, 2]), np.array([True, False]), np.array([0, 5]))
+    for score in (evaluate, log_likelihood):
+        with pytest.raises(DataError, match="out of range"):
+            score(model, feats, pairs)
+    in_range = pairs[:3] + (np.array([0, 0]),)
+    assert evaluate(model, feats, in_range).n_pairs == 2

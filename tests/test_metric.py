@@ -13,7 +13,7 @@ from stylemetric.metric import (decide, dist_full, dist_lowrank,
                                 dist_personalized, dist_weighted, embed,
                                 link_probability, log_link_probability,
                                 model_distances, pair_distances_style,
-                                project_rows, sigmoid, softplus)
+                                pair_terms, project_rows, sigmoid, softplus)
 
 
 def brute_full(M, x_i, x_j):
@@ -191,6 +191,24 @@ def test_project_rows_matches_the_per_row_loop_in_any_batch(n, f, k, x_layout,
         assert np.array_equal(project_rows(X[r:r + 1], Y)[0], want[r])
         assert np.array_equal(project_rows(X[r], Y)[0], want[r])
         assert np.array_equal(embed(Y, X[r]), want[r])
+
+
+@given(n=st.integers(2, 40), k=st.sampled_from([1, 2, 3, 4, 5, 8, 17, 128]),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_slice_distances_match_the_gathered_pairs(n, k, seed):
+    """pair_terms over row i against the slice S[j0:j1] gives the bits of
+    pair_distances_style over the gathered pairs (i, j0) .. (i, j1-1): for a
+    whole upper-triangle row and for any piece of one. The streaming
+    generator in synthetic.py relies on this."""
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-8, 8, (n, 1))
+    for i in range(n - 1):
+        j0 = int(rng.integers(i + 1, n))
+        j1 = int(rng.integers(j0, n + 1))
+        for lo, hi in ((i + 1, n), (j0, j1)):
+            row = pair_terms(S, i, slice(lo, hi))[2]
+            gathered = pair_distances_style(S, np.full(hi - lo, i), np.arange(lo, hi))
+            assert np.array_equal(row.view(np.int64), gathered.view(np.int64))
 
 
 def test_sigmoid_midpoint_and_saturation():

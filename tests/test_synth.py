@@ -1,14 +1,22 @@
 """Planted-metric data generation: the generated labels must be exactly
 consistent with the generator's own ground-truth model."""
 
+import re
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from stylemetric import synthetic
+from stylemetric.catalog import FeatureMatrix, RelationGraph
 from stylemetric.evaluation import evaluate
-from stylemetric.metric import dist_lowrank, project_rows
+from stylemetric.metric import pair_distances_style, project_rows
 from stylemetric.sampling import (LabeledPairSet, graph_to_pairs,
                                   sample_negatives)
-from stylemetric.synthetic import MODES, SynthConfig, generate
+from stylemetric.synthetic import MODES, SynthConfig, SynthResult, generate
 
 
 def test_modes_enumerated():
@@ -211,3 +219,148 @@ class TestTwoPopulationUsers:
         a = self._result(seed=4)
         b = self._result(seed=4)
         assert a.triples.triples == b.triples.triples
+
+
+def _dense_generate(config):
+    """The generator as it was before the streaming pass: all N(N-1)/2 planted
+    distances in one table. Kept as the oracle for generate's non-user modes.
+    The one addition is the rule-negative guard before the flips, without
+    which a too loose c_star made the flip loop below run forever."""
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+    N, F, E = config.n_items, config.n_features, config.n_edges
+    X = rng.standard_normal((N, F))
+    item_ids = synthetic._item_ids(N)
+    features = FeatureMatrix(item_ids, X)
+    Y = synthetic._planted_transform(config)
+    S = project_rows(X, Y)
+    info = {"mode": config.mode, "requested_c_star": config.c_star}
+
+    ii, jj = np.triu_indices(N, k=1)
+    ii = ii.astype(np.int64)
+    jj = jj.astype(np.int64)
+    d = pair_distances_style(S, ii, jj)
+
+    if config.c_star is None:
+        c_star = float(np.partition(d, E)[E])
+        info["c_star_source"] = "fit_to_edge_count"
+    else:
+        c_star = float(config.c_star)
+        if int(np.sum(d < c_star)) < E:
+            c_star = float(np.partition(d, E)[E])
+            info["c_star_source"] = "adjusted_up_to_edge_count"
+        else:
+            info["c_star_source"] = "explicit"
+    rule_pos = np.flatnonzero(d < c_star)
+    info["rule_positive_count"] = int(len(rule_pos))
+    if len(rule_pos) > E:
+        sel = rng.choice(len(rule_pos), size=E, replace=False)
+        chosen = np.sort(rule_pos[sel])
+    else:
+        chosen = rule_pos.copy()
+
+    flip_count = int(rng.binomial(E, config.noise)) if config.noise > 0.0 else 0
+    rule_neg_count = int(np.sum(d >= c_star))
+    if rule_neg_count < flip_count:
+        raise ValueError(f"c_star {c_star} leaves {rule_neg_count} rule-negative pairs, "
+                         f"fewer than the {flip_count} noise flips")
+    used = set(int(t) for t in chosen)
+    if flip_count:
+        flip_at = rng.choice(E, size=flip_count, replace=False)
+        n_pairs = len(d)
+        for pos in flip_at:
+            while True:
+                t = int(rng.integers(0, n_pairs))
+                if d[t] >= c_star and t not in used:
+                    used.add(t)
+                    chosen[pos] = t
+                    break
+    info["flip_count"] = flip_count
+
+    edges = {(item_ids[ii[t]], item_ids[jj[t]], "also_bought") for t in chosen}
+    graph = RelationGraph(edges)
+    info["c_star_used"] = c_star
+    return SynthResult(features, graph, Y, c_star, None, info)
+
+
+@st.composite
+def _configs(draw):
+    mode = draw(st.sampled_from(["axis_aligned", "cross_feature"]))
+    n = draw(st.integers(3, 40))
+    k = draw(st.integers(1, 3))
+    f = draw(st.integers(2 * k if mode == "cross_feature" else k, 7))
+    universe = n * (n - 1) // 2
+    e = draw(st.integers(1, universe - 1))
+    noise = draw(st.sampled_from([0.0, 0.1, 0.45]))
+    c_star = draw(st.one_of(st.none(), st.just(1e-12), st.floats(0.05, 40.0)))
+    return SynthConfig(n, f, k, e, noise, mode, draw(st.integers(0, 2**32 - 1)), c_star)
+
+
+@given(config=_configs(), block=st.sampled_from([1, 7, synthetic._TRIU_BLOCK]))
+def test_streaming_generate_matches_the_dense_oracle(config, block):
+    """Any seed, mode, noise level and c_star, with blocks that split rows:
+    the same features, edges, threshold and info as the dense generator, or
+    the same ValueError."""
+    try:
+        want = _dense_generate(config)
+    except ValueError as exc:
+        with mock.patch.object(synthetic, "_TRIU_BLOCK", block), \
+                pytest.raises(ValueError, match=re.escape(str(exc))):
+            generate(config)
+        return
+    with mock.patch.object(synthetic, "_TRIU_BLOCK", block):
+        got = generate(config)
+    assert np.array_equal(got.features.values, want.features.values)
+    assert got.graph.edges == want.graph.edges
+    assert got.threshold == want.threshold
+    assert got.info == want.info
+    assert list(got.info) == list(want.info)
+
+
+@pytest.mark.parametrize("c_star, source", [(None, "fit_to_edge_count"),
+                                            (1e-12, "adjusted_up_to_edge_count"),
+                                            (8.0, "explicit")])
+def test_streaming_generate_matches_the_oracle_on_each_threshold_path(c_star, source):
+    for mode in ("axis_aligned", "cross_feature"):
+        config = SynthConfig(90, 6, 2, 400, 0.2, mode, 3, c_star)
+        want = _dense_generate(config)
+        with mock.patch.object(synthetic, "_TRIU_BLOCK", 7):
+            got = generate(config)
+        assert got.info["c_star_source"] == source
+        assert got.graph.edges == want.graph.edges
+        assert got.info == want.info and got.threshold == want.threshold
+
+
+def test_triu_index_map_is_exact():
+    for n in (2, 3, 17, 100):
+        starts = synthetic._row_starts(n)
+        ii, jj = np.triu_indices(n, k=1)
+        i, j = synthetic._triu_pairs(np.arange(len(ii)), starts)
+        assert np.array_equal(i, ii) and np.array_equal(j, jj)
+    # row ends and starts of a large triangle, where t runs past 2**32
+    n = 200_000
+    starts = synthetic._row_starts(n)
+    rows = [0, 1, 70_001, n - 3, n - 2]
+    ends = [(i, n - 1) for i in rows] + [(i, i + 1) for i in rows]
+    t = np.array([i * (2 * n - i - 1) // 2 + j - i - 1 for i, j in ends])
+    i, j = synthetic._triu_pairs(t, starts)
+    assert list(zip(i.tolist(), j.tolist())) == ends
+
+
+def test_generate_memory_does_not_grow_with_the_pair_count():
+    """N=3,000 has 4.5M pairs, a 34 MiB distance table on its own; the
+    streaming pass holds the 20,001 smallest and one block at a time."""
+    config = SynthConfig(3000, 32, 4, 20000, 0.1, "cross_feature", 1)
+    tracemalloc.start()
+    try:
+        generate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_too_few_rule_negatives_for_the_flips_is_an_error():
+    config = SynthConfig(200, 8, 2, 100, 0.1, "axis_aligned", 9, c_star=50.0)
+    with pytest.raises(ValueError, match="rule-negative"):
+        generate(config)
