@@ -5,6 +5,8 @@ transform Y*, and labels the closest pairs under the planted metric as
 related. Because the planted rule is evaluated through the same distance
 kernels the rest of the package uses, a model holding (Y*, c*) reproduces the
 noise-free labels exactly, which is what makes the generator its own oracle.
+The closest pairs are selected in one blocked pass over the upper triangle,
+so no table of all N(N-1)/2 pairs is ever built.
 
 Modes:
 
@@ -193,9 +195,9 @@ def generate(config: SynthConfig) -> SynthResult:
 
     With noise > 0, a Binomial(n_edges, noise) number of emitted edges are
     swapped for uniformly drawn rule-negative pairs, so the edge list keeps
-    its size while that fraction of labels contradicts the planted rule. An
-    explicit c* that leaves fewer rule-negative pairs than that raises
-    ValueError.
+    its size while that fraction of labels contradicts the planted rule.
+    When fewer rule-negative pairs exist than flips (a loose explicit c*, or
+    n_edges close to the pair count), generate raises ValueError.
 
     The planted distances are computed in one blocked pass over the upper
     triangle that keeps only the n_edges+1 smallest (and, for an explicit c*,

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stylemetric import synthetic
@@ -297,6 +297,10 @@ def _configs(draw):
 
 
 @given(config=_configs(), block=st.sampled_from([1, 7, synthetic._TRIU_BLOCK]))
+@example(config=SynthConfig(90, 6, 2, 400, 0.2, "axis_aligned", 3, None), block=7)
+@example(config=SynthConfig(90, 6, 2, 400, 0.2, "cross_feature", 3, 1e-12), block=7)
+@example(config=SynthConfig(90, 6, 2, 400, 0.2, "cross_feature", 3, 8.0), block=7)
+@example(config=SynthConfig(200, 8, 2, 100, 0.1, "axis_aligned", 9, 50.0), block=7)
 def test_streaming_generate_matches_the_dense_oracle(config, block):
     """Any seed, mode, noise level and c_star, with blocks that split rows:
     the same features, edges, threshold and info as the dense generator, or
@@ -315,20 +319,6 @@ def test_streaming_generate_matches_the_dense_oracle(config, block):
     assert got.threshold == want.threshold
     assert got.info == want.info
     assert list(got.info) == list(want.info)
-
-
-@pytest.mark.parametrize("c_star, source", [(None, "fit_to_edge_count"),
-                                            (1e-12, "adjusted_up_to_edge_count"),
-                                            (8.0, "explicit")])
-def test_streaming_generate_matches_the_oracle_on_each_threshold_path(c_star, source):
-    for mode in ("axis_aligned", "cross_feature"):
-        config = SynthConfig(90, 6, 2, 400, 0.2, mode, 3, c_star)
-        want = _dense_generate(config)
-        with mock.patch.object(synthetic, "_TRIU_BLOCK", 7):
-            got = generate(config)
-        assert got.info["c_star_source"] == source
-        assert got.graph.edges == want.graph.edges
-        assert got.info == want.info and got.threshold == want.threshold
 
 
 def test_triu_index_map_is_exact():
@@ -358,9 +348,3 @@ def test_generate_memory_does_not_grow_with_the_pair_count():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-
-
-def test_too_few_rule_negatives_for_the_flips_is_an_error():
-    config = SynthConfig(200, 8, 2, 100, 0.1, "axis_aligned", 9, c_star=50.0)
-    with pytest.raises(ValueError, match="rule-negative"):
-        generate(config)
