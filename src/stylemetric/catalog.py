@@ -1,4 +1,4 @@
-"""Data catalog: item features, relationship edges, user triples, categories, models.
+"""Data catalog: item features, relationship edges, user triples, models.
 
 Everything here is plain file IO plus validation. Item and user ids are opaque
 strings; they are mapped to dense integer indices at load time and all numeric
@@ -23,7 +23,6 @@ where noted):
               header, one embedded item per line.
 * edges:      ``<src>\\t<dst>\\t<class>`` per line; '#' comments.
 * triples:    ``<item_i>\\t<item_j>\\t<user>`` per line; '#' comments.
-* categories: ``<item_id>\\t<category_id>`` per line; '#' comments.
 * pairs (sampling): ``#partition <tag>`` header, then
               ``<i>\\t<j>\\t<related|unrelated>[\\t<user>]``; '#' comments.
 * id lists (cli): one item id per line; '#' comments.
@@ -188,28 +187,6 @@ class UserTripleSet:
 
     def user_ids(self) -> list[str]:
         return sorted({u for _, _, u in self.triples})
-
-
-class CategoryMap:
-    """item id -> category id. Unmapped items are an error at query time."""
-
-    def __init__(self, mapping: dict):
-        self._mapping = dict(mapping)
-
-    def __len__(self) -> int:
-        return len(self._mapping)
-
-    def category(self, item_id: str) -> str:
-        try:
-            return self._mapping[item_id]
-        except KeyError:
-            raise DataError(f"item {item_id!r} has no category") from None
-
-    def items_in(self, category_id: str) -> list[str]:
-        return sorted(i for i, c in self._mapping.items() if c == category_id)
-
-    def categories(self) -> list[str]:
-        return sorted(set(self._mapping.values()))
 
 
 @dataclass
@@ -597,21 +574,6 @@ def save_triples(triples: UserTripleSet, path):
     with atomic_writer(path) as f:
         for a, b, user in sorted(triples.triples):
             f.write(f"{a}\t{b}\t{user}\n")
-
-
-def load_categories(path) -> CategoryMap:
-    mapping: dict = {}
-    for lineno, (item, cat) in read_records(path, 2):
-        if item in mapping and mapping[item] != cat:
-            raise DataError(f"{path}:{lineno}: conflicting category for {item!r}")
-        mapping[item] = cat
-    return CategoryMap(mapping)
-
-
-def save_categories(categories: CategoryMap, path):
-    with atomic_writer(path) as f:
-        for item in sorted(categories._mapping):
-            f.write(f"{item}\t{categories._mapping[item]}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,6 @@ def log_link_probability(d, c):
     return float(out) if out.ndim == 0 else out
 
 
-def decide(d, c):
-    """Classify pairs: related exactly when d < c (ties are unrelated)."""
-    scalar = np.isscalar(d) or (isinstance(d, np.ndarray) and d.ndim == 0)
-    verdict = np.asarray(d, dtype=np.float64) < c
-    return bool(verdict) if scalar else verdict
-
-
 def pair_terms(S, i_idx, j_idx, w=None):
     """Differences P = S[i] - S[j], weighted V = P o w, and d = ||V||^2.
 

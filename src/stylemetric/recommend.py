@@ -56,18 +56,6 @@ def rank_candidates(model: MetricModel, features: FeatureMatrix,
     return [(item, dist, prob) for (dist, item), prob in zip(ranked, probs.tolist())]
 
 
-def recommend(model: MetricModel, features: FeatureMatrix, query_item: str,
-              category_items, n: int):
-    """The n candidates most probably related to the query.
-
-    Returns (item, probability) tuples in the rank_candidates order.
-    """
-    if n < 1:
-        raise DataError("n must be >= 1")
-    ranked = rank_candidates(model, features, query_item, category_items)
-    return [(item, prob) for item, _, prob in ranked[:n]]
-
-
 def build_outfit(model: MetricModel, features: FeatureMatrix, query_item: str,
                  categories) -> list:
     """Pick the most query-compatible item from each category, independently.

@@ -18,6 +18,10 @@ from .catalog import (DataError, FeatureMatrix, RelationGraph, UserTripleSet,
 PARTITIONS = ("train", "validation", "test", "all")
 _LABELS = ("unrelated", "related")  # indexed by the label bool
 TRAIN_POSITIVE_CAP = 2_000_000
+# The per-user dataset: users need this many distinct purchased items, and
+# each keeps at most this many co-purchases (and as many negatives).
+MIN_PURCHASES = 20
+PAIRS_PER_USER = 50
 
 _VAL_FRACTION = 0.10
 _TEST_FRACTION = 0.10
@@ -176,13 +180,14 @@ def split(pairs: LabeledPairSet, seed) -> dict:
     return out
 
 
-def build_user_dataset(triples: UserTripleSet, features: FeatureMatrix, seed: int,
-                       min_purchases: int = 20, pairs_per_user: int = 50) -> LabeledPairSet:
-    """Per-user co-purchase dataset: 50 positives and 50 negatives per user.
+def build_user_dataset(triples: UserTripleSet, features: FeatureMatrix,
+                       seed: int) -> LabeledPairSet:
+    """Per-user co-purchase dataset: PAIRS_PER_USER positives and as many
+    negatives per user.
 
-    Users with fewer than min_purchases distinct purchased items are skipped.
+    Users with fewer than MIN_PURCHASES distinct purchased items are skipped.
     Positive pairs are the user's observed co-purchases (all of them when
-    fewer than pairs_per_user exist); negatives are drawn from the full item
+    fewer than PAIRS_PER_USER exist); negatives are drawn from the full item
     universe, excluding every pair co-purchased by anyone. Pairs already
     emitted for an earlier user are not repeated, so no pair can land in two
     split partitions later. Each user draws from an independent generator
@@ -203,10 +208,10 @@ def build_user_dataset(triples: UserTripleSet, features: FeatureMatrix, seed: in
         for a, b in by_user[u]:
             items.add(a)
             items.add(b)
-        if len(items) >= min_purchases:
+        if len(items) >= MIN_PURCHASES:
             qualified.append(u)
     if not qualified:
-        raise DataError(f"no user has at least {min_purchases} distinct purchased items")
+        raise DataError(f"no user has at least {MIN_PURCHASES} distinct purchased items")
 
     seen_pos: set = set()
     seen_neg: set = set()
@@ -220,8 +225,8 @@ def build_user_dataset(triples: UserTripleSet, features: FeatureMatrix, seed: in
             key = lo * n + hi
             if key not in seen_pos:
                 cand.append((lo, hi, key))
-        if len(cand) > pairs_per_user:
-            picks = rng.choice(len(cand), size=pairs_per_user, replace=False)
+        if len(cand) > PAIRS_PER_USER:
+            picks = rng.choice(len(cand), size=PAIRS_PER_USER, replace=False)
             cand = [cand[p] for p in picks]
         for lo, hi, key in cand:
             seen_pos.add(key)

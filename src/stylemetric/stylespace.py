@@ -240,23 +240,17 @@ def _knn_graph(S, knn_k):
     return adjacency
 
 
-def navigate(emb: StyleEmbedding, source: str, target: str, knn_k: int = 10,
-             item_filter=None):
+def navigate(emb: StyleEmbedding, source: str, target: str, knn_k: int = 10):
     """Minimum-cost path between two items on the symmetric kNN style graph.
 
     Edge weights are squared style distances; the search is Dijkstra with a
-    (distance, node) heap so ties resolve by node index. item_filter, when
-    given, restricts the graph to that subset of item ids (source and target
-    included). Returns (path item ids, total cost, per-hop costs).
+    (distance, node) heap so ties resolve by node index. Returns (path item
+    ids, total cost, per-hop costs).
     """
     if source == target:
         raise DataError("source and target must differ")
     if knn_k < 1:
         raise DataError("knn_k must be >= 1")
-    if item_filter is not None:
-        keep = sorted(set(item_filter) | {source, target})
-        rows = [emb.index_of(i) for i in keep]
-        emb = StyleEmbedding(keep, emb.vectors[rows])
     src, dst = emb.index_of(source), emb.index_of(target)
     adjacency = _knn_graph(emb.vectors, knn_k)
     dist = np.full(emb.n_items, np.inf)

@@ -28,10 +28,10 @@ import numpy as np
 
 from .catalog import FeatureMatrix, MetricModel, RelationGraph, UserTripleSet
 from .metric import pair_distances_style, pair_terms, project_rows
+from .sampling import MIN_PURCHASES, PAIRS_PER_USER
 
 MODES = ("axis_aligned", "cross_feature", "two_population_users")
 
-_PAIRS_PER_USER = 50
 _USER_THRESHOLD_QUANTILE = 0.10
 _USER_CANDIDATE_DRAWS = 4096
 # Pairs per step of generate's pass over the upper triangle. It bounds the
@@ -69,9 +69,9 @@ class SynthConfig:
         if self.mode == "two_population_users":
             if self.true_rank < 2:
                 raise ValueError("two_population_users needs true_rank >= 2")
-            if self.n_edges < _PAIRS_PER_USER:
+            if self.n_edges < PAIRS_PER_USER:
                 raise ValueError(
-                    f"two_population_users needs n_edges >= {_PAIRS_PER_USER} "
+                    f"two_population_users needs n_edges >= {PAIRS_PER_USER} "
                     "(one user's worth of pairs)"
                 )
 
@@ -161,16 +161,16 @@ def _scan_planted_distances(S: np.ndarray, starts: np.ndarray, keep: int, c_star
 
     Returns the `keep` smallest distances with their linear indices (ties at
     the largest kept value are broken arbitrarily) and, for an explicit
-    c_star, the ascending linear indices of the pairs with d < c_star. The
-    selection buffers candidates and drops every distance above the current
-    keep-th smallest, so it holds at most about 2 * keep pairs.
+    c_star, the number of pairs with d < c_star. The selection buffers
+    candidates and drops every distance above the current keep-th smallest,
+    so it holds at most about 2 * keep pairs.
     """
     buf_d, buf_t, held = [], [], 0
     cutoff = np.inf
-    below = []
+    below = 0
     for t0, d in _triu_distance_blocks(S, starts):
         if c_star is not None:
-            below.append(t0 + np.flatnonzero(d < c_star))
+            below += int(np.count_nonzero(d < c_star))
         hit = np.flatnonzero(d < cutoff)
         buf_d.append(d[hit])
         buf_t.append(t0 + hit)
@@ -180,8 +180,24 @@ def _scan_planted_distances(S: np.ndarray, starts: np.ndarray, keep: int, c_star
             cutoff = small_d.max()
             buf_d, buf_t, held = [small_d], [small_t], keep
     small_d, small_t = _smallest(np.concatenate(buf_d), np.concatenate(buf_t), keep)
-    below_t = np.concatenate(below) if c_star is not None else None
-    return small_d, small_t, below_t
+    return small_d, small_t, below
+
+
+def _pairs_below_at(S: np.ndarray, starts: np.ndarray, c_star: float, ranks: np.ndarray):
+    """Linear indices of the pairs with d < c_star at the given ascending ranks.
+
+    Rank r is the r-th such pair in linear order. A second pass over the
+    upper triangle counts them off, so it holds one block and the answer.
+    """
+    out, seen, lo = [], 0, 0
+    for t0, d in _triu_distance_blocks(S, starts):
+        hit = np.flatnonzero(d < c_star)
+        hi = int(np.searchsorted(ranks, seen + len(hit)))
+        out.append(t0 + hit[ranks[lo:hi] - seen])
+        seen, lo = seen + len(hit), hi
+        if lo == len(ranks):
+            break
+    return np.concatenate(out)
 
 
 def generate(config: SynthConfig) -> SynthResult:
@@ -201,10 +217,11 @@ def generate(config: SynthConfig) -> SynthResult:
 
     The planted distances are computed in one blocked pass over the upper
     triangle that keeps only the n_edges+1 smallest (and, for an explicit c*,
-    the indices below it), so memory grows with n_edges rather than with the
-    N(N-1)/2 pairs. Pairs are numbered by their row-major upper-triangle
-    index t, and a flip draw maps t to (i, j) and computes that one pair's
-    distance, with the same bits as the pass.
+    counts the pairs below it), so memory grows with n_edges rather than with
+    the N(N-1)/2 pairs. When more than n_edges pairs lie below c*, a second
+    pass maps the drawn ranks among them to pairs. Pairs are numbered by
+    their row-major upper-triangle index t, and a flip draw maps t to (i, j)
+    and computes that one pair's distance, with the same bits as the pass.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -222,26 +239,26 @@ def generate(config: SynthConfig) -> SynthResult:
     starts = _row_starts(N)
     n_pairs = int(starts[-1])
     explicit = None if config.c_star is None else float(config.c_star)
-    small_d, small_t, below_t = _scan_planted_distances(S, starts, E + 1, explicit)
-    if explicit is not None and len(below_t) >= E:
+    small_d, small_t, rule_count = _scan_planted_distances(S, starts, E + 1, explicit)
+    if explicit is not None and rule_count >= E:
         c_star = explicit
-        rule_pos = below_t
         info["c_star_source"] = "explicit"
     else:
-        # the (E+1)-th smallest distance; every pair below it is in small_t
+        # the (E+1)-th smallest distance
         c_star = float(small_d.max())
-        rule_pos = np.sort(small_t[small_d < c_star])
         info["c_star_source"] = ("fit_to_edge_count" if explicit is None
                                  else "adjusted_up_to_edge_count")
-    info["rule_positive_count"] = int(len(rule_pos))
-    if len(rule_pos) > E:
-        sel = rng.choice(len(rule_pos), size=E, replace=False)
-        chosen = np.sort(rule_pos[sel])
+    if rule_count > E:
+        sel = rng.choice(rule_count, size=E, replace=False)
+        chosen = _pairs_below_at(S, starts, c_star, np.sort(sel))
     else:
-        chosen = rule_pos.copy()
+        # at most E pairs lie below c_star, so all of them are in small_t
+        chosen = np.sort(small_t[small_d < c_star])
+        rule_count = len(chosen)
+    info["rule_positive_count"] = rule_count
 
     flip_count = int(rng.binomial(E, config.noise)) if config.noise > 0.0 else 0
-    rule_neg_count = n_pairs - len(rule_pos)
+    rule_neg_count = n_pairs - rule_count
     if flip_count > rule_neg_count:
         raise ValueError(
             f"c_star {c_star} leaves {rule_neg_count} rule-negative pairs, "
@@ -274,14 +291,16 @@ def _generate_two_population(config, features, Y, S, info):
 
     Each user's co-purchases are pairs close under their masked style metric,
     with the personal threshold at the 10% quantile of that user's candidate
-    distances. n_edges is realized as (n_edges // 50) users with 50 pairs
-    each. The per-user generators are derived from (seed, salt, user index)
-    so user blocks are independent of processing order.
+    distances. n_edges is realized as (n_edges // PAIRS_PER_USER) users with
+    PAIRS_PER_USER pairs each, and each user must touch MIN_PURCHASES items,
+    the per-user dataset's constants in sampling. The per-user generators are
+    derived from (seed, salt, user index) so user blocks are independent of
+    processing order.
     """
     N = config.n_items
     K = config.true_rank
     item_ids = features.item_ids
-    n_users = config.n_edges // _PAIRS_PER_USER
+    n_users = config.n_edges // PAIRS_PER_USER
     half = K // 2
     masks = np.zeros((2, K))
     masks[0, :half] = 1.0
@@ -301,9 +320,9 @@ def _generate_two_population(config, features, Y, S, info):
         cand_d = pair_distances_style(S, a[keep], b[keep], mask)
         c_u = float(np.quantile(cand_d, _USER_THRESHOLD_QUANTILE))
         user_thresholds.append(c_u)
-        flips = int(urng.binomial(_PAIRS_PER_USER, config.noise)) if config.noise > 0 else 0
+        flips = int(urng.binomial(PAIRS_PER_USER, config.noise)) if config.noise > 0 else 0
         flip_total += flips
-        quota = [_PAIRS_PER_USER - flips, flips]  # [rule-positive, rule-negative]
+        quota = [PAIRS_PER_USER - flips, flips]  # [rule-positive, rule-negative]
         got = [0, 0]
         items_touched = set()
         while got[0] < quota[0] or got[1] < quota[1]:
@@ -323,10 +342,10 @@ def _generate_two_population(config, features, Y, S, info):
             items_touched.add(lo)
             items_touched.add(hi)
             triples.add((item_ids[lo], item_ids[hi], user))
-        if len(items_touched) < 20:
+        if len(items_touched) < MIN_PURCHASES:
             raise ValueError(
                 f"user {user} touches only {len(items_touched)} distinct items; "
-                "increase n_items so users meet the 20-purchase floor"
+                f"increase n_items so users meet the {MIN_PURCHASES}-purchase floor"
             )
     triple_set = UserTripleSet(triples)
     edges = {(a, b, "bought_together") for a, b, _ in triples}
@@ -334,7 +353,7 @@ def _generate_two_population(config, features, Y, S, info):
     c_star = float(np.median(np.asarray(user_thresholds)))
     info.update({
         "n_users": n_users,
-        "pairs_per_user": _PAIRS_PER_USER,
+        "pairs_per_user": PAIRS_PER_USER,
         "user_thresholds": user_thresholds,
         "flip_count": flip_total,
         "c_star_used": c_star,

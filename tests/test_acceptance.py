@@ -9,13 +9,14 @@ import hashlib
 import os
 import pathlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stylemetric import cli
 from stylemetric.catalog import DataError, FeatureMatrix, MetricModel
-from stylemetric.evaluation import evaluate, fit_wnn
+from stylemetric.evaluation import evaluate
 from stylemetric.metric import (dist_full, dist_lowrank, link_probability,
                                 model_distances)
 from stylemetric.recommend import makeover_delta, outfit_coherence
@@ -196,7 +197,7 @@ def test_criterion_04_planted_metric_recovery():
     tc = TrainConfig(kind="low_rank", rank=4, max_iterations=200, seed=0)
     model, _ = train(tc, res.features, parts["train"])
     acc = evaluate(model, res.features, parts["test"]).accuracy
-    wnn_model, _ = fit_wnn(tc, res.features, parts["train"])
+    wnn_model, _ = train(replace(tc, kind="weighted_nn"), res.features, parts["train"])
     wnn_acc = evaluate(wnn_model, res.features, parts["test"]).accuracy
     elapsed = time.perf_counter() - start
     assert acc >= 0.85, f"low-rank test accuracy {acc:.4f}"

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from stylemetric import cli
-from stylemetric.catalog import (CategoryMap, DataError, FeatureMatrix,
-                                 MetricModel, RelationGraph, UserTripleSet,
-                                 canonical_pair, load_categories, load_edges,
-                                 load_features, load_model, load_triples,
-                                 normalize_rows, save_categories, save_edges, save_features,
+from stylemetric.catalog import (DataError, FeatureMatrix, MetricModel,
+                                 RelationGraph, UserTripleSet, canonical_pair,
+                                 load_edges, load_features, load_model, load_triples,
+                                 normalize_rows, save_edges, save_features,
                                  save_model, save_triples)
 from stylemetric.sampling import load_pairs
 from stylemetric.stylespace import load_embedding
@@ -120,12 +119,11 @@ def test_load_features_rejects_garbage(tmp_path):
     (load_features, "#features 1 1\n\xff\t1.0\n"),
     (load_edges, "a\tb\talso_bought\n\xff\tb\talso_bought\n"),
     (load_triples, "a\tb\tu1\n\xff\tb\tu1\n"),
-    (load_categories, "a\ttop\n\xff\ttop\n"),
     (lambda p: load_pairs(p, FeatureMatrix(["a", "b"], np.zeros((2, 1)))),
      "#partition all\n\xff\tb\trelated\n"),
     (load_embedding, "#style 1 1\n\xff\t1.0\n"),
     (cli._read_id_list, "a\n\xff\n"),
-], ids=["features", "edges", "triples", "categories", "pairs", "embedding", "id_list"])
+], ids=["features", "edges", "triples", "pairs", "embedding", "id_list"])
 def test_text_loaders_reject_bytes_that_are_not_utf8(tmp_path, load, text):
     p = tmp_path / "bad.tsv"
     p.write_bytes(text.encode("latin-1"))
@@ -274,18 +272,6 @@ def test_load_triples_canonicalizes(tmp_path):
     p.write_text("z\ta\tu9\n")
     back = load_triples(p)
     assert back.triples == {("a", "z", "u9")}
-
-
-def test_categories_roundtrip(tmp_path):
-    c = CategoryMap({"a": "pants", "b": "shirts", "c": "pants"})
-    p = tmp_path / "c.tsv"
-    save_categories(c, p)
-    back = load_categories(p)
-    assert back.category("a") == "pants"
-    assert back.items_in("pants") == ["a", "c"]
-    assert back.categories() == ["pants", "shirts"]
-    with pytest.raises(DataError):
-        back.category("zzz")
 
 
 class TestMetricModel:

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stylemetric.catalog import (CategoryMap, DataError, FeatureMatrix,
-                                 MetricModel, RelationGraph, UserTripleSet,
-                                 load_categories, load_edges, load_features,
-                                 load_model, load_triples, save_categories,
+from stylemetric.catalog import (DataError, FeatureMatrix, MetricModel,
+                                 RelationGraph, UserTripleSet, load_edges,
+                                 load_features, load_model, load_triples,
                                  save_edges, save_features, save_model,
                                  save_triples)
 from stylemetric.sampling import LabeledPairSet, load_pairs, save_pairs
@@ -29,8 +28,6 @@ FORMATS = {
     "triples": (lambda p: save_triples(UserTripleSet({("a", "b", "u1"),
                                                       ("c", "d", "u2")}), p),
                 load_triples),
-    "categories": (lambda p: save_categories(CategoryMap({"a": "top", "b": "shoe"}), p),
-                   load_categories),
     "pairs": (lambda p: save_pairs(LabeledPairSet(IDS, [[0, 1], [1, 2], [2, 3], [0, 3]],
                                                   [True, True, False, False], "train",
                                                   ["u1", "u2"], [0, 1, 1, 0]), p),

@@ -1,16 +1,13 @@
-"""Accuracy reporting, its exact decision rule, and the category baseline."""
+"""Accuracy reporting and its exact decision rule."""
 
 import numpy as np
 import pytest
 
-from stylemetric.catalog import (CategoryMap, DataError, FeatureMatrix,
-                                 MetricModel, RelationGraph)
-from stylemetric.evaluation import (EVAL_TSV_HEADER, CTPredictor, EvalReport,
-                                    evaluate, fit_ct, fit_wnn, model_digest,
-                                    predict_ct)
+from stylemetric.catalog import DataError, FeatureMatrix, MetricModel
+from stylemetric.evaluation import EVAL_TSV_HEADER, evaluate, model_digest
 from stylemetric.metric import model_distances
 from stylemetric.sampling import LabeledPairSet
-from stylemetric.training import TrainConfig, log_likelihood
+from stylemetric.training import log_likelihood
 
 
 def _fixture(seed=0, n=30, f=5, m=40):
@@ -95,62 +92,6 @@ def test_model_digest_tracks_parameters():
     assert model_digest(m1) == model_digest(m2)
     assert model_digest(m1) != model_digest(m3)
     assert model_digest(m1) != model_digest(MetricModel("low_rank", Y, 1.5))
-
-
-def test_fit_wnn_produces_weighted_model():
-    feats, ps, _ = _fixture(seed=5)
-    train_ps = LabeledPairSet(ps.item_ids, ps.pairs, ps.labels, "train")
-    cfg = TrainConfig(kind="low_rank", rank=3, max_iterations=30, seed=0)
-    model, report = fit_wnn(cfg, feats, train_ps)
-    assert model.kind == "weighted_nn"
-    assert model.transform.shape == (feats.n_features,)
-    assert report.trace[-1] >= report.trace[0]
-
-
-class TestCategoryBaseline:
-    def _setup(self):
-        cats = CategoryMap({"p1": "pants", "p2": "pants", "s1": "shirts",
-                            "s2": "shirts", "h1": "hats", "b1": "belts"})
-        # co-occurrence counts: pants-shirts 2, pants-hats 1, pants-belts 1
-        edges = {("p1", "s1", "also_bought"), ("p2", "s2", "also_bought"),
-                 ("h1", "p1", "also_bought"), ("b1", "p2", "also_bought")}
-        g = RelationGraph({tuple(sorted(e[:2])) + (e[2],) for e in edges})
-        return cats, g
-
-    def test_category_count_mode_keeps_top_half(self):
-        cats, g = self._setup()
-        ct = fit_ct(cats, g, mode="category_count")
-        # pants has 3 distinct partners -> ceil(3/2) = 2 kept; shirts beats
-        # the tied hats/belts on count, and belts beats hats on id order
-        assert ct.linked_categories("pants") == {"shirts", "belts"}
-        assert ct.linked_categories("shirts") == {"pants"}
-
-    def test_count_mass_mode_stops_at_half_mass(self):
-        cats, g = self._setup()
-        ct = fit_ct(cats, g, mode="count_mass")
-        # pants mass: shirts 2 of 4 total -> first prefix covering >= half
-        assert ct.linked_categories("pants") == {"shirts"}
-
-    def test_prediction_is_symmetric_or(self):
-        cats, g = self._setup()
-        ct = fit_ct(cats, g, mode="category_count")
-        # hats did not keep pants? hats has one partner (pants), keeps it;
-        # either direction suffices for a related verdict
-        assert predict_ct(ct, "h1", "p1")
-        assert predict_ct(ct, "p1", "h1")
-        # shirts-hats never co-occurred and neither links the other
-        assert not predict_ct(ct, "s1", "h1")
-
-    def test_unknown_mode_rejected(self):
-        cats, g = self._setup()
-        with pytest.raises(DataError):
-            fit_ct(cats, g, mode="jaccard")
-
-    def test_unmapped_item_is_an_error(self):
-        cats, g = self._setup()
-        ct = fit_ct(cats, g)
-        with pytest.raises(DataError):
-            predict_ct(ct, "p1", "mystery")
 
 
 def test_evaluate_personalized_maps_pair_users_to_model_rows():

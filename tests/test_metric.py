@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stylemetric.catalog import DataError, MetricModel
-from stylemetric.metric import (decide, dist_full, dist_lowrank,
+from stylemetric.metric import (dist_full, dist_lowrank,
                                 dist_personalized, dist_weighted, embed,
                                 link_probability, log_link_probability,
                                 model_distances, pair_distances_style,
@@ -256,14 +256,6 @@ def test_log_link_probability_matches_log_of_probability():
 def test_log_link_probability_stable_at_huge_distance():
     # log p = -(d - c) asymptotically; the naive log(sigmoid) underflows here
     assert log_link_probability(1e4, 2.0) == pytest.approx(-(1e4 - 2.0), rel=1e-12)
-
-
-def test_decide_strict_inequality():
-    assert decide(0.999, 1.0)
-    assert not decide(1.0, 1.0)
-    assert not decide(1.001, 1.0)
-    got = decide(np.array([0.5, 1.0, 1.5]), 1.0)
-    assert got.tolist() == [True, False, False]
 
 
 def test_pair_distances_weighted_matches_scalar_kernel():

@@ -7,9 +7,8 @@ import pytest
 
 from stylemetric.catalog import DataError, FeatureMatrix, MetricModel, normalize_rows
 from stylemetric.metric import dist_lowrank, link_probability
-from stylemetric.recommend import (OutfitScore, build_outfit, makeover_delta,
-                                   outfit_coherence, rank_candidates,
-                                   recommend)
+from stylemetric.recommend import (build_outfit, makeover_delta, outfit_coherence,
+                                   rank_candidates)
 
 
 def _world(seed=0, n=20, f=4, k=2, c=2.0):
@@ -40,22 +39,12 @@ def test_rank_candidates_orders_by_distance():
                                   rel=1e-12)
 
 
-def test_recommend_is_the_rank_prefix():
-    feats, model = _world(seed=1)
-    cands = feats.item_ids[1:]
-    full = rank_candidates(model, feats, "i000", cands)
-    top3 = recommend(model, feats, "i000", cands, 3)
-    assert top3 == [(item, p) for item, _, p in full[:3]]
-
-
-def test_recommend_rejects_bad_inputs():
+def test_rank_candidates_rejects_bad_inputs():
     feats, model = _world(seed=2)
-    with pytest.raises(DataError):
-        recommend(model, feats, "i000", [], 1)
-    with pytest.raises(DataError):
-        recommend(model, feats, "i000", ["i000", "i001"], 1)
-    with pytest.raises(DataError):
-        recommend(model, feats, "i000", ["i001"], 0)
+    with pytest.raises(DataError, match="no candidates"):
+        rank_candidates(model, feats, "i000", [])
+    with pytest.raises(DataError, match="query item"):
+        rank_candidates(model, feats, "i000", ["i000", "i001"])
 
 
 def test_distance_ties_break_by_item_id():

@@ -328,6 +328,11 @@ def test_pairs_file_with_interleaved_labels_loads_related_first(tmp_path):
 
 
 class TestBuildUserDataset:
+    @pytest.fixture(autouse=True)
+    def _binding_cap(self, monkeypatch):
+        # each test user has 30 co-purchases, so a cap of 25 binds
+        monkeypatch.setattr(sampling, "PAIRS_PER_USER", 25)
+
     def _triples(self, seed=0, n_users=6, n_items=120, per_user=30):
         rng = np.random.default_rng(seed)
         feats = _features(n_items, seed=seed)
@@ -344,8 +349,7 @@ class TestBuildUserDataset:
 
     def test_balanced_per_user(self):
         triples, feats = self._triples()
-        ds = build_user_dataset(triples, feats, seed=1, min_purchases=20,
-                                pairs_per_user=25)
+        ds = build_user_dataset(triples, feats, seed=1)
         assert ds.user_ids == sorted(triples.user_ids())
         for u in range(len(ds.user_ids)):
             assert np.sum(ds.labels[ds.users == u]) == 25
@@ -353,8 +357,7 @@ class TestBuildUserDataset:
 
     def test_negatives_avoid_all_observed_pairs(self):
         triples, feats = self._triples(seed=2)
-        ds = build_user_dataset(triples, feats, seed=3, min_purchases=20,
-                                pairs_per_user=25)
+        ds = build_user_dataset(triples, feats, seed=3)
         observed = {(feats.index_of(a), feats.index_of(b)) for a, b, _ in triples.triples}
         for p in ds.pairs[~ds.labels].tolist():
             assert tuple(p) not in observed
@@ -363,16 +366,13 @@ class TestBuildUserDataset:
         triples, feats = self._triples(seed=4)
         extra = set(triples.triples)
         extra.add((feats.item_ids[0], feats.item_ids[1], "lurker"))
-        ds = build_user_dataset(UserTripleSet(extra), feats, seed=5,
-                                min_purchases=20, pairs_per_user=25)
+        ds = build_user_dataset(UserTripleSet(extra), feats, seed=5)
         assert "lurker" not in ds.user_ids
 
     def test_deterministic(self):
         triples, feats = self._triples(seed=6)
-        a = build_user_dataset(triples, feats, seed=7, min_purchases=20,
-                               pairs_per_user=25)
-        b = build_user_dataset(triples, feats, seed=7, min_purchases=20,
-                               pairs_per_user=25)
+        a = build_user_dataset(triples, feats, seed=7)
+        b = build_user_dataset(triples, feats, seed=7)
         assert np.array_equal(a.pairs, b.pairs)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.users, b.users)

@@ -4,7 +4,6 @@ Navigation is checked against an independent exhaustive shortest-path
 search; k-means against the properties that hold for exact Lloyd updates.
 """
 
-import itertools
 from unittest import mock
 
 import numpy as np
@@ -195,18 +194,6 @@ def test_navigate_disconnected_reports_knn_hint():
     with pytest.raises(DataError) as e:
         navigate(emb, "i0", "i5", knn_k=1)
     assert "knn_k" in str(e.value)
-
-
-def test_navigate_respects_item_filter():
-    vecs = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    emb = StyleEmbedding(["a", "b", "c", "d"], vecs)
-    full_items, full_cost, _ = navigate(emb, "a", "d", knn_k=2)
-    assert full_items == ["a", "b", "c", "d"]
-    # removing the middle stops forces one long hop
-    items, cost, _ = navigate(emb, "a", "d", knn_k=3, item_filter=["a", "d"])
-    assert items == ["a", "d"]
-    assert cost == pytest.approx(9.0, rel=1e-12)
-    assert cost > full_cost
 
 
 def test_navigate_isomorphism_under_orthogonal_rotation():
