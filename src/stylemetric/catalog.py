@@ -64,11 +64,6 @@ class DataError(Exception):
     """A file or in-memory structure violates the catalog contracts."""
 
 
-def _fmt(value: float) -> str:
-    # repr() is the shortest string that round-trips a float64 exactly.
-    return repr(float(value))
-
-
 def canonical_pair(a: str, b: str) -> tuple[str, str]:
     """Unordered item pair in canonical (sorted) order."""
     return (a, b) if a <= b else (b, a)
@@ -397,8 +392,10 @@ def write_matrix(path, tag, ids, values):
     """The text matrix that read_matrix(path, tag) reads back exactly."""
     with atomic_writer(path) as f:
         f.write(f"#{tag} {len(ids)} {values.shape[1]}\n")
+        # repr() is the shortest string that round-trips a float64 exactly;
+        # one row at a time keeps the Python floats bounded.
         for item, row in zip(ids, values):
-            f.write(item + "\t" + "\t".join(_fmt(v) for v in row) + "\n")
+            f.write(item + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
 
 
 def _write_strings(f, strings):

@@ -126,9 +126,25 @@ def pair_terms(S, i_idx, j_idx, w=None):
     objective. w is None, a shared (K,) weight vector, or one (m, K) row per
     pair; without it V is P itself.
     """
-    P = S[i_idx] - S[j_idx]
+    P = _gather(S, i_idx) - _gather(S, j_idx)
     V = P if w is None else P * w
     return P, V, _rowwise_sqnorm(V)
+
+
+def _gather(S, idx):
+    # take copies the same rows as S[idx] does, faster; a slice stays a view.
+    return S[idx] if isinstance(idx, slice) else S.take(idx, axis=0)
+
+
+def touched_rows(i_idx, j_idx):
+    """The distinct rows that index pairs reference, and the pairs renumbered
+    onto them: (rows, i, j) with rows[i] == i_idx and rows[j] == j_idx.
+
+    Since project_rows maps every row on its own, projecting X[rows] and
+    reading pairs (i, j) gives the bits that projecting all of X would.
+    """
+    rows, inverse = np.unique(np.concatenate([i_idx, j_idx]), return_inverse=True)
+    return rows, inverse[:len(i_idx)], inverse[len(i_idx):]
 
 
 def pair_distances_style(S, i_idx, j_idx, w=None) -> np.ndarray:
@@ -167,8 +183,7 @@ def model_distances(model: MetricModel, X: np.ndarray, i_idx, j_idx, user_idx=No
         )
     if model.kind == "weighted_nn":
         return pair_distances_style(X, i_idx, j_idx, model.transform)
-    rows, inverse = np.unique(np.concatenate([i_idx, j_idx]), return_inverse=True)
-    i_idx, j_idx = inverse[:len(i_idx)], inverse[len(i_idx):]
+    rows, i_idx, j_idx = touched_rows(i_idx, j_idx)
     S = project_rows(X[rows], model.transform)
     if model.kind == "personalized" and user_idx is not None:
         user_idx = np.asarray(user_idx, dtype=np.int64)

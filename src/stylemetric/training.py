@@ -31,8 +31,11 @@ With Q = 2 (dL/dd) V per pair, the chain rule gives
 weighted_nn has no Y, so nothing is scattered for it. One value pass over the
 pairs yields L and the training accuracy; a second pass, from the same style
 coordinates S, yields the whole gradient. The optimizer takes the gradient
-pass only at points it keeps. Both passes run on one thread in fixed blocks,
-and every sum runs in pair order, so results depend only on the inputs.
+pass only at points it keeps, and a full value pass only at trials it cannot
+reject from a part of f: f is a sum of nonnegative terms, so once the terms
+of a few pairs exceed the accept bound the trial fails. Both passes run on one
+thread in fixed blocks, and every sum runs in pair order, so results depend
+only on the inputs.
 """
 
 import math
@@ -42,7 +45,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import FEATURE_NORMS, DataError, MetricModel, normalize_rows
-from .metric import pair_distances_style, pair_terms, project_rows, sigmoid, softplus
+from .metric import (pair_distances_style, pair_terms, project_rows, sigmoid, softplus,
+                     touched_rows)
 from .sampling import LabeledPairSet
 
 _GRAD_NORM_FLOOR = 1e-8
@@ -56,6 +60,17 @@ _C0_SAMPLE = 1000
 # are (block, F) arrays for weighted_nn, and never changes a result beyond
 # rounding.
 _BLOCK = 16384
+# Pairs at the head of the table whose terms a line-search trial sums, from
+# their own projected rows, before it projects the catalog. A trial whose
+# head sum exceeds the accept bound by the relative _PROBE_MARGIN fails
+# without a full pass. Each head term has the bits the full pass gives it,
+# since project_rows and pair_terms work row by row; the two sums differ only
+# in the order of their roundings, and sums of m nonnegative terms in two
+# orders differ by at most about (m + blocks + 2) * 2**-53 relative, far below
+# 1e-6 for any m under about 1e9. So a head sum above the margin proves the
+# full f above the bound.
+_PROBE = 1024
+_PROBE_MARGIN = 1e-6
 
 
 class TrainingError(Exception):
@@ -159,6 +174,8 @@ class _Objective:
             self.n_params = self.F * self.K + 1
         else:
             self.n_params = self.F + 1
+        head = slice(0, _PROBE)
+        self._probe = (head, *touched_rows(i_idx[head], j_idx[head]))
 
     def pack(self, transform, c, user_w=None):
         parts = [np.asarray(transform, dtype=np.float64).ravel(), [float(c)]]
@@ -186,36 +203,62 @@ class _Objective:
         np.maximum(out[t_end:], 0.0, out=out[t_end:])
         return out
 
-    def style(self, transform):
-        """Style coordinates S of every item and the shared weight vector, if any."""
+    def style(self, transform, rows=slice(None)):
+        """Style coordinates S of the given rows of X (all by default) and the
+        shared weight vector, if any."""
+        X = self.X[rows]
         if self.kind == "weighted_nn":
-            return self.X, transform
-        return project_rows(self.X, transform), None
+            return X, transform
+        return project_rows(X, transform), None
 
-    def value(self, vec):
-        """Returns (f, L, train_accuracy, S) at vec from one pass over the pairs.
+    def value(self, vec, bound=None):
+        """Returns (f, L, train_accuracy, S) at vec from one pass over the pairs,
+        or None once f is shown to exceed bound.
 
         S holds the style coordinates the pass used; grad takes it back so that
-        the point's projection is computed once.
+        the point's projection is computed once. f is a sum of nonnegative
+        terms, so a part of it above bound proves f > bound: the first _PROBE
+        pairs are summed from their own rows before the catalog is projected,
+        and the pass stops after any block whose running sum exceeds bound.
+        A non-finite partial sum never ends the pass early.
         """
         transform, c, user_w = self.unpack(vec)
+        penalty = 0.0
+        if self.l2_penalty != 0.0:
+            penalty = self.l2_penalty * float(np.sum(transform * transform))
+        if bound is not None:
+            head, rows, i, j = self._probe
+            S, w = self.style(transform, rows)
+            prefix = self._terms(S, w, c, user_w, head, i, j)[0] + penalty
+            if math.isfinite(prefix) and prefix > bound + _PROBE_MARGIN * abs(bound):
+                return None
         S, w = self.style(transform)
         m = len(self.i)
         L = 0.0
         hits = 0
         for lo in range(0, m, _BLOCK):
-            i, j = self.i[lo:lo + _BLOCK], self.j[lo:lo + _BLOCK]
-            lab = self.labels[lo:lo + _BLOCK]
-            if user_w is not None:
-                w = user_w[self.users[lo:lo + _BLOCK]]
-            d = pair_terms(S, i, j, w)[2]
-            t = c - d
-            L -= float(np.sum(softplus(-t[lab]))) + float(np.sum(softplus(t[~lab])))
-            hits += int(np.count_nonzero((d < c) == lab))
+            block = slice(lo, lo + _BLOCK)
+            nll, block_hits = self._terms(S, w, c, user_w, block, self.i[block], self.j[block])
+            L -= nll
+            hits += block_hits
+            # Adding a term >= 0 never lowers an IEEE sum, so f >= penalty - L.
+            if bound is not None and math.isfinite(penalty - L) and penalty - L > bound:
+                return None
         f = -L
         if self.l2_penalty != 0.0:
-            f += self.l2_penalty * float(np.sum(transform * transform))
+            f += penalty
         return f, L, hits / m if m else 0.0, S
+
+    def _terms(self, S, w, c, user_w, block, i, j):
+        """(sum of -log-likelihood terms, correct decisions) over the pairs in
+        block, a slice of the pair table whose endpoints are rows i and j of S."""
+        lab = self.labels[block]
+        if user_w is not None:
+            w = user_w[self.users[block]]
+        d = pair_terms(S, i, j, w)[2]
+        t = c - d
+        return (float(np.sum(softplus(-t[lab]))) + float(np.sum(softplus(t[~lab]))),
+                int(np.count_nonzero((d < c) == lab)))
 
     def grad(self, vec, S):
         """grad_f at vec, given the style coordinates S that value(vec) returned.
@@ -338,10 +381,14 @@ def _minimize(obj: _Objective, x0, config: TrainConfig, progress=None):
 
     Accepted steps satisfy both the Armijo condition (measured against the
     projected step) and plain non-increase of f, so the reported likelihood
-    trace is non-decreasing by construction. Every trial point gets one value
-    pass; only the start point and each accepted trial also get a gradient
-    pass, since a rejected trial's gradient is never used. The accepted
-    trial's value, gradient and accuracy carry over.
+    trace is non-decreasing by construction. Each trial passes that bound to
+    value, which returns None as soon as a part of f exceeds it: from the
+    head pairs' own rows before the catalog is projected, or from a block of
+    the full pass. Every accepted trial gets the full value pass, and only
+    the start point and each accepted trial get a gradient pass, since a
+    rejected trial's gradient is never used. So the run has the bits it
+    would have if every trial took both passes. The accepted trial's value,
+    gradient and accuracy carry over.
     progress, when given, receives one ``iter\\tlog_likelihood\\ttrain_acc``
     line per accepted iterate. Returns (x, trace, iterations, termination,
     train_accuracy).
@@ -367,12 +414,14 @@ def _minimize(obj: _Objective, x0, config: TrainConfig, progress=None):
         alpha = 1.0
         while alpha >= _MIN_STEP:
             xt = obj.project(x + alpha * p)
-            ft, Lt, acct, St = obj.value(xt)
-            if not np.isfinite(ft):
-                raise TrainingError(f"non-finite likelihood at iteration {it + 1}")
             gdx = float(g @ (xt - x))
-            if ft <= f + _ARMIJO * gdx and ft <= f:
-                break
+            trial = obj.value(xt, min(f + _ARMIJO * gdx, f))
+            if trial is not None:
+                ft, Lt, acct, St = trial
+                if not np.isfinite(ft):
+                    raise TrainingError(f"non-finite likelihood at iteration {it + 1}")
+                if ft <= f + _ARMIJO * gdx and ft <= f:
+                    break
             alpha *= _BACKTRACK
         else:
             termination = "no_ascent_step"
@@ -425,8 +474,9 @@ def _init_params(config: TrainConfig, obj: _Objective):
     else:
         m = len(obj.i)
         sel = rng.choice(m, size=min(_C0_SAMPLE, m), replace=False)
-        S, w = obj.style(transform)
-        c0 = float(np.mean(pair_distances_style(S, obj.i[sel], obj.j[sel], w)))
+        rows, i, j = touched_rows(obj.i[sel], obj.j[sel])
+        S, w = obj.style(transform, rows)
+        c0 = float(np.mean(pair_distances_style(S, i, j, w)))
     return transform, c0
 
 

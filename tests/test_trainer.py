@@ -7,9 +7,12 @@ model kind, coordinate by coordinate.
 
 import io
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stylemetric import training
 from stylemetric.catalog import DataError, FeatureMatrix, MetricModel
@@ -451,9 +454,9 @@ def _counted(obj, calls):
     """Record every value and gradient pass obj makes, in order."""
     value, grad = obj.value, obj.grad
 
-    def counted_value(vec):
+    def counted_value(vec, bound=None):
         calls.append("value")
-        return value(vec)
+        return value(vec, bound)
 
     def counted_grad(vec, S):
         calls.append("grad")
@@ -498,3 +501,79 @@ def test_lazy_line_search_matches_the_fused_one(kind, l2_penalty, seed, terminat
     assert calls.count("grad") == iterations + 1
     first_trials = (calls + ["grad"]).index("grad", 2) - 2
     assert (first_trials > 1) == backtracks
+
+
+def _patched_blocks(probe, block):
+    """Set the objective's head size and block size, for objectives built inside."""
+    return mock.patch.multiple(training, _PROBE=probe, _BLOCK=block)
+
+
+_KINDS = st.sampled_from(["low_rank", "weighted_nn", "personalized"])
+_PENALTIES = st.sampled_from([0.0, 0.5, 1e30])
+_PROBES = st.sampled_from([1, 7, training._PROBE])
+_BLOCKS = st.sampled_from([1, 16, training._BLOCK])
+
+
+@settings(max_examples=40)
+@given(kind=_KINDS, l2_penalty=_PENALTIES, probe=_PROBES, block=_BLOCKS,
+       seed=st.integers(0, 2**16), m=st.integers(1, 300))
+def test_pruned_line_search_matches_the_fused_one(kind, l2_penalty, probe, block, seed, m):
+    """Rejecting trials from a partial sum of f leaves every bit of the run as
+    it was when every trial took a full value and gradient pass."""
+    config = TrainConfig(max_iterations=15)
+    with _patched_blocks(probe, block):
+        obj, x0 = _line_search_problem(kind, l2_penalty, seed, m=m)
+        pruned_log, fused_log = io.StringIO(), io.StringIO()
+        x, *rest = training._minimize(obj, x0, config, pruned_log)
+        want = _fused_minimize(_line_search_problem(kind, l2_penalty, seed, m=m)[0], x0,
+                               config, fused_log)
+    assert x.tobytes() == want[0].tobytes()
+    assert tuple(rest) == tuple(want[1:])
+    assert pruned_log.getvalue() == fused_log.getvalue()
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=60)
+@given(kind=_KINDS, l2_penalty=_PENALTIES, probe=_PROBES, block=_BLOCKS,
+       seed=st.integers(0, 2**16), m=st.integers(1, 300), step=st.floats(0.0, 2.0),
+       scale=st.sampled_from([-1.0, 0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]))
+def test_bounded_value_is_none_or_the_full_value(kind, l2_penalty, probe, block, seed, m,
+                                                 step, scale):
+    """value(v, b) returns None exactly when f(v) > b, and otherwise the bits
+    of the unbounded pass."""
+    with _patched_blocks(probe, block):
+        obj, x0 = _line_search_problem(kind, l2_penalty, seed, m=m)
+        rng = np.random.default_rng(seed)
+        vec = obj.project(x0 + step * rng.standard_normal(x0.shape))
+        f, L, acc, S = obj.value(vec)
+        bound = scale * f
+        got = obj.value(vec, bound)
+    assert np.isfinite(f)
+    if got is None:
+        assert f > bound
+    else:
+        assert not f > bound
+        assert [_bits(v) for v in got[:3]] == [_bits(f), _bits(L), _bits(acc)]
+        assert got[3].tobytes() == S.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["low_rank", "personalized"])
+def test_head_rejection_projects_only_the_head_rows(kind, monkeypatch):
+    """A trial whose first _PROBE pairs already exceed the bound projects at
+    most their 2 * _PROBE endpoint rows, not the catalog."""
+    obj, x0 = _line_search_problem(kind, 0.0, seed=23, n=3 * training._PROBE,
+                                   m=4 * training._PROBE)
+    projected = []
+    project_rows = training.project_rows
+
+    def counted(X, Y):
+        projected.append(len(X))
+        return project_rows(X, Y)
+
+    monkeypatch.setattr(training, "project_rows", counted)
+    assert obj.value(x0, -1.0) is None  # f >= 0, so no point meets this bound
+    assert len(projected) == 1
+    assert 0 < projected[0] <= 2 * training._PROBE < len(obj.X)
