@@ -58,6 +58,7 @@ _FEATURE_MAGIC = b"SMF1"
 _MODEL_MAGIC = b"SMM1"
 _MODEL_VERSION = 1
 _U32 = struct.Struct("<I")
+_SMF1_HEAD = struct.Struct("<4sQQ")  # magic, N, F
 
 
 class DataError(Exception):
@@ -119,6 +120,14 @@ class FeatureMatrix:
             return self._index[item_id]
         except KeyError:
             raise DataError(f"unknown item id: {item_id!r}") from None
+
+    def indices_of(self, item_ids) -> np.ndarray:
+        """Row indices of a sequence of item ids, as one int64 array."""
+        try:
+            return np.fromiter(map(self._index.__getitem__, item_ids), np.int64,
+                               len(item_ids))
+        except KeyError as err:
+            raise DataError(f"unknown item id: {err.args[0]!r}") from None
 
     def __contains__(self, item_id: str) -> bool:
         return item_id in self._index
@@ -407,16 +416,18 @@ def _write_strings(f, strings):
 
 
 class _Reader:
-    """A binary file read whole and consumed front to back.
+    """A binary file, or the part of it in buf, consumed front to back.
 
     Every length a header declares is checked against the bytes left before
     it is used, so a corrupt or truncated file raises DataError instead of
     an overflow or a huge allocation.
     """
 
-    def __init__(self, path, what):
-        with open(path, "rb") as f:
-            self.buf = f.read()
+    def __init__(self, path, what, buf=None):
+        if buf is None:
+            with open(path, "rb") as f:
+                buf = f.read()
+        self.buf = buf
         self.pos = 0
         self.path = path
         self.what = what
@@ -498,12 +509,32 @@ def load_features(path) -> FeatureMatrix:
 
 
 def _load_features_binary(path) -> FeatureMatrix:
-    r = _Reader(path, "binary feature file")
-    r.take(4, "magic")
-    n_items, n_features = r.unpack("<QQ", "header")
-    item_ids = r.strings(n_items, "id table")
-    values = r.floats((n_items, n_features), "feature payload")
-    r.finish()
+    """The SMF1 file at path, with its payload read straight into the array.
+
+    The file size fixes the id table's length once the header's N x F
+    payload is known, so the table is read alone and the payload goes into
+    its final array: no byte is held twice.
+    """
+    what = "binary feature file"
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        r = _Reader(path, what, f.read(_SMF1_HEAD.size))
+        r.take(4, "magic")
+        n_items, n_features = r.unpack("<QQ", "header")
+        payload = n_items * n_features * 8
+        table = size - _SMF1_HEAD.size - payload
+        if table < 4 * n_items:
+            raise DataError(f"{path}: truncated {what} (id table and payload)")
+        r = _Reader(path, what, f.read(table))
+        item_ids = r.strings(n_items, "id table")
+        r.finish()
+        try:
+            values = np.empty((n_items, n_features), "<f8")
+        except ValueError:
+            raise DataError(f"{path}: {what} declared shape {(n_items, n_features)} "
+                            "is too large") from None
+        if f.readinto(values) != payload:
+            raise DataError(f"{path}: truncated {what} (feature payload)")
     return FeatureMatrix(item_ids, values)
 
 

@@ -4,7 +4,8 @@ Scalar distances are thin wrappers over the batch kernels so that a distance
 computed one pair at a time is bit-identical to the same pair inside a batch.
 The low-rank paths project rows into style space first and difference second,
 which makes ``dist_lowrank(x_i, x_j, Y)`` equal ``||embed(x_i) - embed(x_j)||^2``
-exactly, not just to rounding.
+exactly, not just to rounding. Both rest on one invariant of project_rows: a
+row's bits do not depend on its block-mates or on its offset in a block.
 """
 
 import numpy as np
@@ -15,24 +16,48 @@ from .catalog import DataError, MetricModel
 # pair's value is independent of every other pair, so the block size never
 # changes results.
 _PAIR_BLOCK = 4096
+# Rows per GEMM of project_rows, and the column multiple its transform is
+# padded to. A GEMM sums each output element over F in an order its shape
+# sets, so one shape for every call keeps a row's bits. Under 2 or more BLAS
+# threads, OpenBLAS's kernel for a last panel of fewer than 8 columns gave
+# some rows other bits at other offsets in the block (ranks 129-300 not
+# divisible by 8 at B=128); full panels of 8 never did. B=128 is measured
+# in BENCH_16.json.
+_PROJECT_BLOCK = 128
+_PROJECT_PANEL = 8
 
 
 def project_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Map rows of X (n, F) into style space with one batched matmul.
+    """Map rows of X (n, F) into style space, s = x Y for every row x.
 
-    X is viewed as a stack of n (1, F) matrices, so numpy runs the same
-    vector-matrix product for every row that ``X[r] @ Y`` runs for that row
-    alone. A row therefore gets the same bits alone, in a batch, or in any
-    subset, which is what makes embeddings and distances agree to the bit.
-    X is made C-contiguous first (a no-op for feature matrices), because BLAS
-    sums a strided row in another order than a contiguous one.
+    Rows go through one GEMM per block of _PROJECT_BLOCK rows; the last,
+    short block is zero-padded to full size, and Y's columns are zero-padded
+    to a multiple of _PROJECT_PANEL, so every BLAS call one Y sees has the
+    same C-contiguous shape (B, F) @ (F, K'). A row's bits then do not
+    depend on its block-mates or on its offset in the block: a row gets the
+    same bits alone, in a batch, or in any subset, which is what makes
+    embeddings and distances agree to the bit.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
-    if X.shape[1] != Y.shape[0]:
-        raise DataError(f"feature dimension {X.shape[1]} does not match transform {Y.shape[0]}")
-    return np.matmul(X[:, None, :], Y)[:, 0, :]
+    n, F = X.shape
+    if F != Y.shape[0]:
+        raise DataError(f"feature dimension {F} does not match transform {Y.shape[0]}")
+    K = Y.shape[1]
+    B = _PROJECT_BLOCK
+    Yp = np.zeros((F, -(-K // _PROJECT_PANEL) * _PROJECT_PANEL), dtype=np.float64)
+    Yp[:, :K] = Y
+    out = np.empty((n, K), dtype=np.float64)
+    product = np.empty((B, Yp.shape[1]), dtype=np.float64)
+    for lo in range(0, n, B):
+        block = X[lo:lo + B]
+        if len(block) < B:
+            block = np.zeros((B, F), dtype=np.float64)
+            block[:n - lo] = X[lo:]
+        np.matmul(block, Yp, out=product)
+        out[lo:lo + B] = product[:n - lo, :K]
+    return out
 
 
 def _rowwise_sqnorm(V: np.ndarray) -> np.ndarray:
@@ -140,8 +165,9 @@ def touched_rows(i_idx, j_idx):
     """The distinct rows that index pairs reference, and the pairs renumbered
     onto them: (rows, i, j) with rows[i] == i_idx and rows[j] == j_idx.
 
-    Since project_rows maps every row on its own, projecting X[rows] and
-    reading pairs (i, j) gives the bits that projecting all of X would.
+    A row's projection does not depend on its block-mates or its offset, so
+    projecting X[rows] and reading pairs (i, j) gives the bits that
+    projecting all of X would.
     """
     rows, inverse = np.unique(np.concatenate([i_idx, j_idx]), return_inverse=True)
     return rows, inverse[:len(i_idx)], inverse[len(i_idx):]
@@ -169,8 +195,9 @@ def model_distances(model: MetricModel, X: np.ndarray, i_idx, j_idx, user_idx=No
 
     X must already carry the normalization the model was trained with (see
     ``catalog.normalize_rows``). Only the rows the pairs reference are read:
-    the low-rank kinds project just those rows, once each, and since
-    project_rows maps every row on its own the distances are bit-identical to
+    the low-rank kinds project just those rows, once each (X itself when the
+    pairs reference every row), and since a row's projection does not depend
+    on its block-mates or its offset the distances are bit-identical to
     projecting all of X. For personalized models, user_idx selects the
     per-pair row of the user weight table; omitting it falls back to the
     shared metric.
@@ -184,7 +211,9 @@ def model_distances(model: MetricModel, X: np.ndarray, i_idx, j_idx, user_idx=No
     if model.kind == "weighted_nn":
         return pair_distances_style(X, i_idx, j_idx, model.transform)
     rows, i_idx, j_idx = touched_rows(i_idx, j_idx)
-    S = project_rows(X[rows], model.transform)
+    # rows is sorted and distinct, so with these ends it is all of X in order.
+    whole = len(rows) == len(X) > 0 and rows[0] == 0 and rows[-1] == len(X) - 1
+    S = project_rows(X if whole else X[rows], model.transform)
     if model.kind == "personalized" and user_idx is not None:
         user_idx = np.asarray(user_idx, dtype=np.int64)
         if model.user_weights is None:

@@ -26,8 +26,8 @@ def _item_rows(model: MetricModel, features: FeatureMatrix, items) -> np.ndarray
     Only these rows are normalized, which gives the same bits as normalizing
     the whole catalog and then indexing it.
     """
-    idx = np.array([features.index_of(i) for i in items], dtype=np.int64)
-    return normalize_rows(features.values[idx], model.feature_norm)
+    rows = features.values.take(features.indices_of(items), axis=0)
+    return normalize_rows(rows, model.feature_norm)
 
 
 def _distances_to_query(model: MetricModel, features: FeatureMatrix,

@@ -41,6 +41,7 @@ only on the inputs.
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,11 +65,12 @@ _BLOCK = 16384
 # their own projected rows, before it projects the catalog. A trial whose
 # head sum exceeds the accept bound by the relative _PROBE_MARGIN fails
 # without a full pass. Each head term has the bits the full pass gives it,
-# since project_rows and pair_terms work row by row; the two sums differ only
-# in the order of their roundings, and sums of m nonnegative terms in two
-# orders differ by at most about (m + blocks + 2) * 2**-53 relative, far below
-# 1e-6 for any m under about 1e9. So a head sum above the margin proves the
-# full f above the bound.
+# since a row's projection does not depend on its block-mates or its offset
+# and pair_terms works pair by pair; the two sums differ only in the order of
+# their roundings, and sums of m nonnegative terms in two orders differ by at
+# most about (m + blocks + 2) * 2**-53 relative, far below 1e-6 for any m
+# under about 1e9. So a head sum above the margin proves the full f above the
+# bound.
 _PROBE = 1024
 _PROBE_MARGIN = 1e-6
 
@@ -275,7 +277,7 @@ class _Objective:
             gt = np.zeros(self.F)
         else:
             G = np.zeros((len(S), self.K))
-        for lo in range(0, m, _BLOCK):
+        for b, lo in enumerate(range(0, m, _BLOCK)):
             i, j = self.i[lo:lo + _BLOCK], self.j[lo:lo + _BLOCK]
             lab = self.labels[lo:lo + _BLOCK]
             if user_w is not None:
@@ -289,11 +291,12 @@ class _Objective:
                 gt += (-2.0 * r) @ (V * P)
                 continue
             Q = (-2.0 * r)[:, None] * V
+            touched_i, touched_j, touched_u = self._touched[b]
             if user_w is not None:
-                _scatter_rows(gW, u, Q * P)
+                _scatter_rows(gW, u, Q * P, touched_u)
                 Q *= w
-            _scatter_rows(G, i, Q)
-            _scatter_rows(G, j, -Q)
+            _scatter_rows(G, i, Q, touched_i)
+            _scatter_rows(G, j, -Q, touched_j)
         if self.kind != "weighted_nn":
             gt = self.X.T @ G
         grad = -self.pack(gt, gc, gW)
@@ -301,21 +304,38 @@ class _Objective:
             grad[: transform.size] += 2.0 * self.l2_penalty * transform.ravel()
         return grad
 
+    @cached_property
+    def _touched(self):
+        """Per block of the pair table, np.unique(idx, return_inverse=True) of
+        its i, j and (personalized kind) user columns, the rows grad scatters
+        into. Built on the first gradient pass, so once per fit."""
+        def touched(col, lo):
+            return None if col is None else np.unique(col[lo:lo + _BLOCK], return_inverse=True)
+
+        users = self.users if self.kind == "personalized" else None
+        return [(touched(self.i, lo), touched(self.j, lo), touched(users, lo))
+                for lo in range(0, len(self.i), _BLOCK)]
+
     def value_and_grad(self, vec):
         """Returns (f, L, grad_f, train_accuracy) at vec: value, then grad."""
         f, L, acc, S = self.value(vec)
         return f, L, self.grad(vec, S), acc
 
 
-def _scatter_rows(out, idx, rows):
+def _scatter_rows(out, idx, rows, touched=None):
     """out[idx[n]] += rows[n] for every n, summed in pair order.
 
-    One bincount over the flat cells idx[n] * K + k; each cell adds its terms
-    in pair order.
+    touched is np.unique(idx, return_inverse=True), computed here unless the
+    caller kept it. One bincount runs over the cells of the touched rows
+    only, inverse[n] * K + k; each cell adds its terms in pair order, as a
+    bincount over all of out would. An untouched cell would only gain +0.0,
+    which changes no value: out starts at +0.0 and a bincount never returns
+    -0.0, so out never holds -0.0.
     """
+    rows_idx, inverse = np.unique(idx, return_inverse=True) if touched is None else touched
     K = out.shape[1]
-    cells = (idx[:, None] * K + np.arange(K)).ravel()
-    out += np.bincount(cells, rows.ravel(), out.size).reshape(out.shape)
+    cells = (inverse[:, None] * K + np.arange(K)).ravel()
+    out[rows_idx] += np.bincount(cells, rows.ravel(), len(rows_idx) * K).reshape(-1, K)
 
 
 def _users_for_model(model: MetricModel, pairs, users):

@@ -2,6 +2,7 @@
 error paths that keep bad data out of the pipeline."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,26 @@ def test_features_binary_roundtrip_is_exact(tmp_path):
     save_features(feats, p, binary=True)
     back = load_features(p)
     assert np.array_equal(back.values, vals)
+
+
+def test_load_features_binary_holds_the_payload_once(tmp_path):
+    """Binary loading reads the payload straight into the result: its peak is
+    the payload, the finiteness check's mask (an eighth of it) and the ids as
+    Python strings with their index, not a second copy of the file."""
+    n_items, n_features = 1000, 256
+    feats = FeatureMatrix([f"item{i:05d}" for i in range(n_items)],
+                          np.random.default_rng(3).standard_normal((n_items, n_features)))
+    p = tmp_path / "f.bin"
+    save_features(feats, p, binary=True)
+    payload = n_items * n_features * 8
+    tracemalloc.start()
+    try:
+        back = load_features(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == feats
+    assert peak < payload + payload // 4 + 256 * n_items
 
 
 def test_features_text_roundtrip_is_exact_via_repr(tmp_path):

@@ -2,12 +2,17 @@
 brute-force formulas written independently of the library internals."""
 
 import math
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from stylemetric import metric
 from stylemetric.catalog import DataError, MetricModel
 from stylemetric.metric import (dist_full, dist_lowrank,
                                 dist_personalized, dist_weighted, embed,
@@ -136,15 +141,16 @@ def test_project_rows_single_row_equals_batch():
         assert np.array_equal(alone[0], S[i])
 
 
-def _project_rows_per_row(X, Y):
-    """The per-row loop project_rows once ran: one X[r] @ Y per row."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    S = np.empty((X.shape[0], Y.shape[1]), dtype=np.float64)
-    for r in range(X.shape[0]):
-        S[r] = X[r] @ Y
-    return S
+def _own_block(row, Y, block):
+    """A row's style coordinates from one GEMM of a zero block of `block` rows
+    that holds the row first, against Y zero-padded to whole column panels."""
+    f, k = Y.shape
+    panel = metric._PROJECT_PANEL
+    Yp = np.zeros((f, -(-k // panel) * panel))
+    Yp[:, :k] = Y
+    rows = np.zeros((block, f))
+    rows[0] = row
+    return (rows @ Yp)[0, :k]
 
 
 def _laid_out(A, layout, rng):
@@ -159,38 +165,77 @@ def _laid_out(A, layout, rng):
     return view
 
 
-@given(n=st.integers(0, 12), f=st.integers(1, 9), k=st.integers(1, 6),
-       x_layout=st.sampled_from(("C", "F", "sliced")),
-       y_layout=st.sampled_from(("C", "F", "sliced")),
-       seed=st.integers(0, 2**32 - 1))
-@example(n=0, f=3, k=2, x_layout="C", y_layout="C", seed=0)
-@example(n=5, f=1, k=3, x_layout="F", y_layout="sliced", seed=1)
-@example(n=5, f=4, k=1, x_layout="sliced", y_layout="F", seed=2)
-@example(n=1, f=1, k=1, x_layout="sliced", y_layout="sliced", seed=3)
-def test_project_rows_matches_the_per_row_loop_in_any_batch(n, f, k, x_layout,
-                                                            y_layout, seed):
-    """Every row gets the bits the per-row loop gives its C-ordered copy: in
-    the whole batch, in any subset and order of rows (repeats included),
-    alone, and as a 1-D input, whatever the layout of X."""
+@given(block=st.sampled_from([1, 3, 4, metric._PROJECT_BLOCK]),
+       blocks=st.integers(0, 3), extra=st.integers(-2, 2), f=st.integers(1, 9),
+       k=st.integers(1, 20), x_layout=st.sampled_from(("C", "F", "sliced")),
+       y_layout=st.sampled_from(("C", "F", "sliced")), seed=st.integers(0, 2**32 - 1))
+@example(block=3, blocks=0, extra=0, f=3, k=2, x_layout="C", y_layout="C", seed=0)
+@example(block=4, blocks=1, extra=1, f=1, k=3, x_layout="F", y_layout="sliced", seed=1)
+@example(block=1, blocks=2, extra=1, f=4, k=1, x_layout="sliced", y_layout="F", seed=2)
+@example(block=metric._PROJECT_BLOCK, blocks=1, extra=-1, f=9, k=17, x_layout="sliced",
+         y_layout="sliced", seed=3)
+def test_project_rows_gives_each_row_the_bits_of_its_own_padded_block(
+        block, blocks, extra, f, k, x_layout, y_layout, seed):
+    """With any block size, every row gets the bits of a block that holds it
+    alone: in the whole batch on either side of a block boundary, in any
+    subset and order of rows (repeats included), alone, as a 1-D input and
+    through embed, whatever the layouts of X and Y."""
+    n = max(0, blocks * block + extra)
     rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(-8, 8, (n, 1))
     rows = rng.standard_normal((n, f)) * scales
     X = _laid_out(rows, x_layout, rng)
     Y = _laid_out(rng.standard_normal((f, k)), y_layout, rng)
-    want = _project_rows_per_row(rows, Y)
+    want = np.array([_own_block(row, Y, block) for row in rows]).reshape(n, k)
+    with mock.patch.object(metric, "_PROJECT_BLOCK", block):
+        S = project_rows(X, Y)
+        assert S.shape == (n, k)
+        assert S.flags.c_contiguous
+        assert np.array_equal(S, want)
+        if n == 0:
+            return
+        subset = rng.integers(0, n, int(rng.integers(0, 2 * n + 1)))
+        assert np.array_equal(project_rows(X[subset], Y), want[subset])
+        order = rng.permutation(n)
+        assert np.array_equal(project_rows(X[order], Y), want[order])
+        for r in range(n):
+            assert np.array_equal(project_rows(X[r:r + 1], Y)[0], want[r])
+            assert np.array_equal(project_rows(X[r], Y)[0], want[r])
+            assert np.array_equal(embed(Y, X[r]), want[r])
+
+
+_THREADED_PROJECTION = """
+import hashlib
+import numpy as np
+from stylemetric.metric import _PROJECT_BLOCK as B, project_rows
+rng = np.random.default_rng(0)
+for k in (64, 130):
+    X = rng.standard_normal((3 * B + 5, 1024))
+    Y = rng.standard_normal((1024, k))
     S = project_rows(X, Y)
-    assert S.shape == (n, k)
-    assert np.array_equal(S, want)
-    if n == 0:
-        return
-    subset = rng.integers(0, n, int(rng.integers(0, 2 * n + 1)))
-    assert np.array_equal(project_rows(X[subset], Y), want[subset])
-    order = rng.permutation(n)
-    assert np.array_equal(project_rows(X[order], Y), want[order])
-    for r in range(n):
-        assert np.array_equal(project_rows(X[r:r + 1], Y)[0], want[r])
-        assert np.array_equal(project_rows(X[r], Y)[0], want[r])
-        assert np.array_equal(embed(Y, X[r]), want[r])
+    rows = [0, 1, B - 1, B, 2 * B + 77, 3 * B + 4]
+    alone = np.vstack([project_rows(X[r], Y) for r in rows])
+    print(hashlib.sha256(S.tobytes()).hexdigest(),
+          np.array_equal(alone, S[rows]))
+"""
+
+
+def test_block_projection_does_not_depend_on_the_blas_thread_count():
+    """(3B+5) x 1024 rows by a 1024 x 64 and a 1024 x 130 transform give the
+    same bytes on one BLAS thread and on two, and each row the bits it gets
+    alone. A block of this shape is large enough for OpenBLAS to split its
+    GEMM across threads; rank 130 leaves a last column panel narrower than
+    OpenBLAS's kernel, which the panel padding fills."""
+    src = os.path.dirname(os.path.dirname(metric.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _THREADED_PROJECTION], env=env,
+                              check=True, capture_output=True, text=True)
+        outputs.append(done.stdout.split())
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1::2] == ["True", "True"]
 
 
 @given(n=st.integers(2, 40), k=st.sampled_from([1, 2, 3, 4, 5, 8, 17, 128]),
@@ -372,3 +417,27 @@ class TestModelDistances:
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, want)
         assert projected == ([] if kind == "weighted_nn" else [len(touched)] * 2)
+
+    def test_pairs_over_every_row_project_x_itself(self, monkeypatch):
+        """When the pairs touch every row, X is projected as it is, without a
+        gathered copy, and the distances are those of each pair alone; pairs
+        that leave a row out or point past X still gather."""
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((5, 4))
+        m = _model("low_rank", rng.standard_normal((4, 3)), 1.0)
+        projected = []
+
+        def recording_project_rows(rows, Y):
+            projected.append(rows)
+            return project_rows(rows, Y)
+
+        monkeypatch.setattr("stylemetric.metric.project_rows", recording_project_rows)
+        i, j = np.array([4, 0, 2]), np.array([1, 3, 4])
+        d = model_distances(m, X, i, j)
+        assert projected[-1] is X
+        assert [float(v) for v in d] == [dist_lowrank(m.transform, X[a], X[b])
+                                         for a, b in zip(i, j)]
+        model_distances(m, X, np.array([0, 1]), np.array([2, 3]))
+        assert projected[-1] is not X
+        with pytest.raises(IndexError):
+            model_distances(m, X, np.array([0, 1, 2, 3]), np.array([1, 2, 3, 5]))

@@ -45,6 +45,10 @@ def test_rank_candidates_rejects_bad_inputs():
         rank_candidates(model, feats, "i000", [])
     with pytest.raises(DataError, match="query item"):
         rank_candidates(model, feats, "i000", ["i000", "i001"])
+    with pytest.raises(DataError, match="unknown item id: 'nope'"):
+        rank_candidates(model, feats, "i000", ["i001", "nope", "i002"])
+    with pytest.raises(DataError, match="unknown item id: 'nope'"):
+        outfit_coherence(model, feats, ["i001", "nope"])
 
 
 def test_distance_ties_break_by_item_id():

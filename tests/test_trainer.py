@@ -382,6 +382,35 @@ def test_scatter_rows_matches_the_per_column_bincounts(n, k, sizes):
     assert not np.array_equal(flat, start)
 
 
+def _scatter_all_cells(out, idx, rows):
+    """The scatter _scatter_rows once ran: one bincount over every cell of out."""
+    K = out.shape[1]
+    cells = (idx[:, None] * K + np.arange(K)).ravel()
+    out += np.bincount(cells, rows.ravel(), out.size).reshape(out.shape)
+
+
+@given(n=st.integers(1, 12), k=st.integers(1, 5),
+       sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_scatter_over_the_touched_rows_matches_the_all_cell_bincount(n, k, sizes, seed):
+    """From a zero array, block after block, scattering into only the rows a
+    block touches (with np.unique kept from before, as grad keeps it) gives
+    the bits of a bincount over every cell, signed zeros and cancelling terms
+    included."""
+    rng = np.random.default_rng(seed)
+    touched_only, all_cells = np.zeros((n, k)), np.zeros((n, k))
+    for m in sizes:
+        idx = rng.integers(0, n, m)  # repeats on purpose
+        rows = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-8, 17, (m, 1))
+        rows[rng.random((m, k)) < 0.2] = -0.0
+        if m > 1:
+            rows[1] = -rows[0]
+            idx[1] = idx[0]
+        training._scatter_rows(touched_only, idx, rows, np.unique(idx, return_inverse=True))
+        _scatter_all_cells(all_cells, idx, rows)
+        assert touched_only.tobytes() == all_cells.tobytes()
+
+
 def _fused_minimize(obj, x0, config, progress=None):
     """The line search _minimize once ran: value_and_grad at every trial point."""
     x = obj.project(np.asarray(x0, dtype=np.float64))
