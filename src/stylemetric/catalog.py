@@ -3,7 +3,10 @@
 Everything here is plain file IO plus validation. Item and user ids are opaque
 strings; they are mapped to dense integer indices at load time and all numeric
 code downstream works on indices. Loaded structures are immutable by convention
-and safe to share across threads.
+and safe to share across threads. The convention is load-bearing: recommend
+caches projected style rows on a FeatureMatrix, keyed by the identity of its
+``values`` array and of the model's ``transform``, so an in-place write to
+either after a query is not seen. Assign a new array instead.
 
 This module owns the mechanics of every file the program reads or writes:
 text files go through read_records, the ``#<tag> <N> <F>`` matrices through
@@ -59,6 +62,9 @@ _MODEL_MAGIC = b"SMM1"
 _MODEL_VERSION = 1
 _U32 = struct.Struct("<I")
 _SMF1_HEAD = struct.Struct("<4sQQ")  # magic, N, F
+# Bytes of the bool mask one step of FeatureMatrix's finiteness check builds;
+# checking rows in blocks keeps the check from holding an N x F mask.
+_FINITE_CHECK_BYTES = 1 << 16
 
 
 class DataError(Exception):
@@ -103,9 +109,14 @@ class FeatureMatrix:
             )
         if len(set(self.item_ids)) != len(self.item_ids):
             raise DataError("duplicate item id in feature matrix")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("non-finite feature value")
+        step = max(1, _FINITE_CHECK_BYTES // max(1, self.values.shape[1]))
+        for lo in range(0, len(self.values), step):
+            if not np.isfinite(self.values[lo:lo + step]).all():
+                raise DataError("non-finite feature value")
         self._index = {item: i for i, item in enumerate(self.item_ids)}
+        # The style rows recommend has projected so far (see
+        # recommend._style_rows); not part of equality.
+        self._styles = None
 
     @property
     def n_items(self) -> int:

@@ -2,7 +2,11 @@
 
 Everything here reduces to distances from the shared metric kernels plus the
 link probability, so rankings by probability and by ascending distance are
-the same ordering.
+the same ordering. Queries gather their items' style rows s = xY from a cache
+on the FeatureMatrix: a row is normalized and projected once per catalog and
+transform, the first time a query needs it, and every later query reads the
+same bits, since a row's projection does not depend on the rows projected
+with it.
 """
 
 from dataclasses import dataclass
@@ -10,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import DataError, FeatureMatrix, MetricModel, normalize_rows
-from .metric import link_probability, log_link_probability, model_distances
+from .metric import link_probability, log_link_probability, pair_distances_style, project_rows
 
 
 @dataclass
@@ -20,21 +24,60 @@ class OutfitScore:
     pair_count: int
 
 
-def _item_rows(model: MetricModel, features: FeatureMatrix, items) -> np.ndarray:
-    """The items' feature rows, in order, normalized as the model was trained.
+def _style_rows(model: MetricModel, features: FeatureMatrix, items) -> np.ndarray:
+    """The items' rows in the space the model measures distances in, in order.
 
-    Only these rows are normalized, which gives the same bits as normalizing
-    the whole catalog and then indexing it.
+    For the low-rank kinds these are style rows from the catalog's cache,
+    which holds one (N, K) array and a mask of the rows filled so far for one
+    transform, feature array and normalization; a query projects only the
+    rows it needs that are not filled yet. weighted_nn has no projection, so
+    its rows are the normalized feature rows. Threads may share the cache: a
+    new cache replaces the slot in one assignment, each query works from its
+    own reference, a row's mask bit is set only after its values are written,
+    and two threads that fill the same row write the same bits.
     """
-    rows = features.values.take(features.indices_of(items), axis=0)
-    return normalize_rows(rows, model.feature_norm)
+    if features.n_features != model.n_features:
+        raise DataError(f"feature dimension {features.n_features} does not match "
+                        f"model ({model.n_features})")
+    idx = features.indices_of(items)
+    norm = model.feature_norm
+    if model.kind == "weighted_nn":
+        return normalize_rows(features.values.take(idx, axis=0), norm)
+    cache = features._styles
+    if (cache is None or cache[0] is not model.transform
+            or cache[1] is not features.values or cache[2] != norm):
+        n = features.n_items
+        cache = (model.transform, features.values, norm,
+                 np.empty((n, model.rank)), np.zeros(n, dtype=bool))
+        features._styles = cache
+    transform, values, _, S, filled = cache
+    missing = np.unique(idx[~filled.take(idx)])
+    if len(missing):
+        S[missing] = project_rows(normalize_rows(values.take(missing, axis=0), norm),
+                                  transform)
+        filled[missing] = True
+    return S.take(idx, axis=0)
+
+
+def _distances(model: MetricModel, features: FeatureMatrix, items,
+               i_idx, j_idx) -> np.ndarray:
+    """Distances under the model between pairs (i, j) of positions in items.
+
+    A non-finite distance means the style coordinates overflowed, and no
+    answer built on it is right, so it raises DataError.
+    """
+    w = model.transform if model.kind == "weighted_nn" else None
+    d = pair_distances_style(_style_rows(model, features, items), i_idx, j_idx, w)
+    if not np.isfinite(d).all():
+        raise DataError("non-finite distance: the items' style coordinates overflow")
+    return d
 
 
 def _distances_to_query(model: MetricModel, features: FeatureMatrix,
-                        query_item: str, candidates):
-    X = _item_rows(model, features, [query_item, *candidates])
+                        query_item: str, candidates) -> np.ndarray:
     n = len(candidates)
-    return model_distances(model, X, np.zeros(n, dtype=np.int64), np.arange(1, n + 1))
+    return _distances(model, features, [query_item, *candidates],
+                      np.zeros(n, dtype=np.int64), np.arange(1, n + 1))
 
 
 def rank_candidates(model: MetricModel, features: FeatureMatrix,
@@ -51,8 +94,12 @@ def rank_candidates(model: MetricModel, features: FeatureMatrix,
     if query_item in candidates:
         raise DataError("query item must be excluded from the candidate set")
     d = _distances_to_query(model, features, query_item, candidates)
-    ranked = sorted(zip(d.tolist(), candidates))
-    probs = link_probability(np.array([dist for dist, _ in ranked]), model.threshold)
+    # A stable argsort puts the candidates in distance order; sorted then only
+    # orders equal distances by item id, in about one pass over its input.
+    order = np.argsort(d, kind="stable")
+    d = d[order]
+    ranked = sorted(zip(d.tolist(), map(candidates.__getitem__, order.tolist())))
+    probs = link_probability(d, model.threshold)
     return [(item, dist, prob) for (dist, item), prob in zip(ranked, probs.tolist())]
 
 
@@ -73,9 +120,15 @@ def build_outfit(model: MetricModel, features: FeatureMatrix, query_item: str,
             raise DataError(f"category {pos} is empty")
         if query_item in members:
             raise DataError(f"category {pos} contains the query item")
-    union = list(dict.fromkeys(item for members in slots for item in members))
-    dist = dict(zip(union, _distances_to_query(model, features, query_item, union).tolist()))
-    return [min(members, key=lambda item: (dist[item], item)) for members in slots]
+    members = [item for slot in slots for item in slot]
+    d = _distances_to_query(model, features, query_item, members)
+    picks, lo = [], 0
+    for slot in slots:
+        dist = d[lo:lo + len(slot)]
+        ties = np.flatnonzero(dist == dist.min()).tolist()
+        picks.append(min(slot[t] for t in ties))
+        lo += len(slot)
+    return picks
 
 
 def outfit_coherence(model: MetricModel, features: FeatureMatrix, items,
@@ -91,10 +144,8 @@ def outfit_coherence(model: MetricModel, features: FeatureMatrix, items,
         raise DataError("an outfit needs at least 2 items")
     if normalize not in ("pairs", "components"):
         raise DataError(f"unknown normalization: {normalize!r}")
-    X = _item_rows(model, features, items)
     n = len(items)
-    ii, jj = np.triu_indices(n, k=1)
-    d = model_distances(model, X, ii, jj)
+    d = _distances(model, features, items, *np.triu_indices(n, k=1))
     logliks = log_link_probability(d, model.threshold)
     # Summing in sorted order makes the score exactly invariant to the order
     # the items were listed in, not merely up to rounding.

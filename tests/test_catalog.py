@@ -97,8 +97,9 @@ def test_features_binary_roundtrip_is_exact(tmp_path):
 
 def test_load_features_binary_holds_the_payload_once(tmp_path):
     """Binary loading reads the payload straight into the result: its peak is
-    the payload, the finiteness check's mask (an eighth of it) and the ids as
-    Python strings with their index, not a second copy of the file."""
+    the payload, the ids as Python strings with their index and one block of
+    the finiteness check, not a second copy of the file. Together they stay
+    below the N x F bytes of one bool mask over the whole payload."""
     n_items, n_features = 1000, 256
     feats = FeatureMatrix([f"item{i:05d}" for i in range(n_items)],
                           np.random.default_rng(3).standard_normal((n_items, n_features)))
@@ -112,7 +113,7 @@ def test_load_features_binary_holds_the_payload_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert back == feats
-    assert peak < payload + payload // 4 + 256 * n_items
+    assert peak < payload + n_items * n_features
 
 
 def test_features_text_roundtrip_is_exact_via_repr(tmp_path):

@@ -368,6 +368,24 @@ class TestExitCodes:
         assert "zero columns" in capsys.readouterr().err
         assert not (out / "model.bin").exists()
 
+    def test_overflowing_style_coordinates_are_exit_2(self, tmp_path, capsys):
+        """Style coordinates past the float range give non-finite distances,
+        which every query command refuses instead of printing nan."""
+        features, model = tmp_path / "f.tsv", tmp_path / "m.bin"
+        save_features(FeatureMatrix(["q", "a", "b", "c"],
+                                    np.array([[1e200], [1e200], [-1e200], [0.0]])), features)
+        save_model(MetricModel("low_rank", np.array([[1e200]]), 1.0), model)
+        cands = tmp_path / "cands.txt"
+        cands.write_text("a\nb\nc\n")
+        given = ("--features", features, "--model", model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for argv in (("recommend", *given, "--query", "q", "--category-file", cands),
+                         ("build-outfit", *given, "--query", "q", "--category-files", cands),
+                         ("score-outfit", *given, "--items", "q,a,b,c")):
+                capsys.readouterr()
+                assert run(*argv) == 2
+                assert "non-finite distance" in capsys.readouterr().err
+
     def test_unknown_item_is_exit_2(self, pipeline, tmp_path):
         data, splits = pipeline / "data", pipeline / "splits"
         fit = pipeline / "fit"

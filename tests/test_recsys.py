@@ -1,10 +1,15 @@
 """Candidate ranking, outfit assembly, and the coherence score."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from stylemetric import recommend
 from stylemetric.catalog import DataError, FeatureMatrix, MetricModel, normalize_rows
 from stylemetric.metric import dist_lowrank, link_probability
 from stylemetric.recommend import (build_outfit, makeover_delta, outfit_coherence,
@@ -208,3 +213,152 @@ def test_coherence_degrades_monotonically_with_distance():
                               np.array([[0.0], [0.2], [off]]))
         scores.append(outfit_coherence(model, feats, ["a", "b", "m"]).mean_pair_loglik)
     assert all(x > y for x, y in zip(scores, scores[1:]))
+
+
+def _kind_model(kind, rng, f, k, norm, threshold=1.0):
+    transform = rng.uniform(0, 2, f) if kind == "weighted_nn" else rng.standard_normal((f, k))
+    extra = ({"user_ids": ["u0"], "user_weights": rng.uniform(0, 2, (1, k))}
+             if kind == "personalized" else {})
+    return MetricModel(kind, transform, threshold, metadata={"feature_norm": norm}, **extra)
+
+
+def _ask(model, features, query):
+    """The answer to one (kind, query item, member items) query."""
+    kind, q, members = query
+    if kind == "rank":
+        return rank_candidates(model, features, q, members)
+    if kind == "outfit":
+        half = max(1, len(members) // 2)
+        slots = [slot for slot in (members[:half], members[half:]) if slot]
+        return build_outfit(model, features, q, slots)
+    return outfit_coherence(model, features, [q, *members])
+
+
+@given(n=st.integers(2, 12), f=st.integers(1, 4), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1),
+       queries=st.lists(st.tuples(st.integers(0, 6),
+                                  st.sampled_from(("rank", "outfit", "coherence")),
+                                  st.integers(0, 11),
+                                  st.lists(st.integers(0, 11), min_size=1, max_size=8)),
+                        min_size=1, max_size=6))
+def test_answers_from_a_warm_cache_match_a_cold_catalog(n, f, k, seed, queries):
+    """Any sequence of queries, over models of every kind and normalization
+    and two transforms of one kind, answers each query with the bits a fresh
+    FeatureMatrix gives. Small integer features make duplicate rows, and so
+    exact distance ties, common; member lists may repeat items, and most
+    sequences leave the catalog partly filled."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, (n, f)).astype(np.float64)
+    ids = [f"i{z:02d}" for z in range(n)]
+    models = [_kind_model(kind, rng, f, k, norm)
+              for kind in ("low_rank", "weighted_nn", "personalized")
+              for norm in ("none", "l2_unit")]
+    models.append(_kind_model("low_rank", rng, f, k, "none"))
+    warm = FeatureMatrix(ids, X)
+    for which, kind, q, members in queries:
+        q = q % n
+        members = [ids[m % n] for m in members if m % n != q] or [ids[(q + 1) % n]]
+        query = (kind, ids[q], members)
+        got = _ask(models[which], warm, query)
+        assert repr(got) == repr(_ask(models[which], FeatureMatrix(ids, X.copy()), query))
+
+
+def test_a_query_projects_only_the_rows_not_yet_projected(monkeypatch):
+    """Rows are projected once per catalog, transform and normalization: a
+    repeated query projects nothing, a new one only its new rows, and another
+    transform or normalization starts over."""
+    projected = []
+
+    def counting(X, Y):
+        projected.append(len(X))
+        return project_rows(X, Y)
+
+    project_rows = recommend.project_rows
+    monkeypatch.setattr(recommend, "project_rows", counting)
+    feats, model = _world(seed=12)
+    rank_candidates(model, feats, "i000", ["i001", "i002", "i001"])
+    assert projected == [3]
+    rank_candidates(model, feats, "i000", ["i002", "i001"])
+    build_outfit(model, feats, "i001", [["i000"], ["i002", "i003", "i004"], ["i003"]])
+    outfit_coherence(model, feats, ["i004", "i000", "i005"])
+    assert projected == [3, 2, 1]
+    other = MetricModel("low_rank", model.transform + 1.0, model.threshold)
+    unit = MetricModel("low_rank", model.transform, model.threshold,
+                       metadata={"feature_norm": "l2_unit"})
+    for m in (other, unit, model):
+        outfit_coherence(m, feats, ["i004", "i000", "i005"])
+    assert projected == [3, 2, 1, 3, 3, 3]
+
+
+def test_the_cache_follows_the_transform_the_norm_and_the_values():
+    """The same features queried under another transform or normalization,
+    or after a new values array is assigned, answer as a fresh catalog does;
+    a new threshold needs no new rows."""
+    feats, model = _world(seed=13, n=40)
+    cands = feats.item_ids[1:]
+    first = rank_candidates(model, feats, "i000", cands)
+    rng = np.random.default_rng(14)
+    for other in (MetricModel("low_rank", rng.standard_normal(model.transform.shape), 2.0),
+                  MetricModel("low_rank", model.transform, 2.0,
+                              metadata={"feature_norm": "l2_unit"})):
+        got = rank_candidates(other, feats, "i000", cands)
+        assert got != first
+        assert got == rank_candidates(other, FeatureMatrix(feats.item_ids, feats.values),
+                                      "i000", cands)
+    assert rank_candidates(model, feats, "i000", cands) == first
+    feats.values = feats.values * 3.0
+    assert rank_candidates(model, feats, "i000", cands) == rank_candidates(
+        model, FeatureMatrix(feats.item_ids, feats.values), "i000", cands)
+
+
+def test_threads_sharing_a_cold_catalog_get_the_single_threaded_answers():
+    """Four threads ask mixed queries of one catalog whose cache starts
+    empty, with the interpreter switching threads as often as it can; every
+    answer is the one a single thread gets."""
+    rng = np.random.default_rng(15)
+    n = 3000
+    ids = [f"i{z:04d}" for z in range(n)]
+    X = rng.standard_normal((n, 16))
+    model = _kind_model("low_rank", rng, 16, 6, "l2_unit")
+    work = []
+    for _ in range(4):
+        queries = []
+        for z in range(30):
+            q, *members = rng.choice(n, 1 + (5, 200, 40)[z % 3], replace=False)
+            queries.append((("coherence", "rank", "outfit")[z % 3], ids[q],
+                            [ids[m] for m in members]))
+        work.append(queries)
+    single = FeatureMatrix(ids, X)
+    want = [repr([_ask(model, single, query) for query in queries]) for queries in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = FeatureMatrix(ids, X)
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(
+                    lambda queries: repr([_ask(model, shared, query) for query in queries]),
+                    work))
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", ["low_rank", "weighted_nn", "personalized"])
+def test_overflowing_style_coordinates_raise_data_error(kind):
+    """Coordinates that overflow give inf and NaN distances; every query that
+    meets one raises DataError rather than ranking or picking by them (a NaN
+    made the outfit pick depend on the order of the slot's members)."""
+    feats = FeatureMatrix(["q", "a", "b", "c"], np.array([[1e200], [1e200], [-1e200], [0.0]]))
+    transform = np.array([1e200]) if kind == "weighted_nn" else np.array([[1e200]])
+    extra = ({"user_ids": ["u0"], "user_weights": np.ones((1, 1))}
+             if kind == "personalized" else {})
+    model = MetricModel(kind, transform, 1.0, **extra)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DataError, match="non-finite distance"):
+            rank_candidates(model, feats, "q", ["a", "b", "c"])
+        for slot in (["a", "b", "c"], ["c", "b", "a"]):
+            with pytest.raises(DataError, match="non-finite distance"):
+                build_outfit(model, feats, "q", [slot])
+        with pytest.raises(DataError, match="non-finite distance"):
+            outfit_coherence(model, feats, ["q", "a", "b", "c"])
