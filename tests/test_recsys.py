@@ -215,11 +215,11 @@ def test_coherence_degrades_monotonically_with_distance():
     assert all(x > y for x, y in zip(scores, scores[1:]))
 
 
-def _kind_model(kind, rng, f, k, norm, threshold=1.0):
+def _kind_model(kind, rng, f, k, norm):
     transform = rng.uniform(0, 2, f) if kind == "weighted_nn" else rng.standard_normal((f, k))
     extra = ({"user_ids": ["u0"], "user_weights": rng.uniform(0, 2, (1, k))}
              if kind == "personalized" else {})
-    return MetricModel(kind, transform, threshold, metadata={"feature_norm": norm}, **extra)
+    return MetricModel(kind, transform, 1.0, metadata={"feature_norm": norm}, **extra)
 
 
 def _ask(model, features, query):
@@ -260,7 +260,7 @@ def test_answers_from_a_warm_cache_match_a_cold_catalog(n, f, k, seed, queries):
         members = [ids[m % n] for m in members if m % n != q] or [ids[(q + 1) % n]]
         query = (kind, ids[q], members)
         got = _ask(models[which], warm, query)
-        assert repr(got) == repr(_ask(models[which], FeatureMatrix(ids, X.copy()), query))
+        assert repr(got) == repr(_ask(models[which], FeatureMatrix(ids, X), query))
 
 
 def test_a_query_projects_only_the_rows_not_yet_projected(monkeypatch):
@@ -338,7 +338,7 @@ def test_threads_sharing_a_cold_catalog_get_the_single_threaded_answers():
             with ThreadPoolExecutor(4) as pool:
                 got = list(pool.map(
                     lambda queries: repr([_ask(model, shared, query) for query in queries]),
-                    work))
+                    work, timeout=120))
             assert got == want
     finally:
         sys.setswitchinterval(interval)
