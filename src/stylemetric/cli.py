@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from .catalog import (FEATURE_NORMS, DataError, atomic_writer, load_edges,
-                      load_features, load_model, load_triples, read_records,
+                      load_features, load_model, load_triples, read_chunks,
                       save_edges, save_features, save_model, save_triples,
                       write_json)
 from .evaluation import EVAL_TSV_HEADER, evaluate
@@ -99,7 +99,10 @@ def _write_optional(args, name, text):
 
 def _read_id_list(path):
     """Item ids, one per line; surrounding whitespace is ignored."""
-    items = (fields[0].strip() for _, fields in read_records(path, 1))
+    items = []
+    for chunk in read_chunks(path, 1):
+        chunk.raise_error()
+        items += (item.strip() for item in chunk.columns(1)[0])
     return [item for item in items if item]
 
 
@@ -176,6 +179,8 @@ def _cmd_sample(args):
     out = _ensure_out(args)
     features = load_features(args.features)
     class_filter = args.classes.split(",") if args.classes else None
+    # With --triples the graph goes unused, but a corrupt edge file still
+    # fails the command: the edge file is one of its inputs.
     graph = load_edges(args.edges, class_filter, features)
     if args.triples:
         triples = load_triples(args.triples, features)
@@ -372,7 +377,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--classes", default=None,
                    help="comma-separated relation classes to keep")
     p.add_argument("--triples", default=None,
-                   help="user triple file: build the per-user dataset instead")
+                   help="user triple file: build the per-user dataset instead "
+                        "(--edges is still read and checked)")
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
 

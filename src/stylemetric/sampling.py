@@ -8,20 +8,29 @@ the pair files and training read directly.
 
 Pair files are tab-separated with item id strings, one pair per line
 (``<i>\\t<j>\\t<label>[\\t<user>]``) under a ``#partition <tag>`` header line.
+They are read in chunks of lines straight into int columns and written a
+fixed number of rows at a time, so neither holds a Python object per pair.
 """
+
+from itertools import repeat
 
 import numpy as np
 
 from .catalog import (DataError, FeatureMatrix, RelationGraph, UserTripleSet,
-                      atomic_writer, read_records)
+                      codes_of, read_chunks, sorted_ids, write_table)
 
 PARTITIONS = ("train", "validation", "test", "all")
 _LABELS = ("unrelated", "related")  # indexed by the label bool
+_LABEL_CODES = {label: code for code, label in enumerate(_LABELS)}
 TRAIN_POSITIVE_CAP = 2_000_000
 # The per-user dataset: users need this many distinct purchased items, and
 # each keeps at most this many co-purchases (and as many negatives).
 MIN_PURCHASES = 20
 PAIRS_PER_USER = 50
+
+# Draws per step of sample_negatives' pass over a batch. It bounds the
+# pass's temporaries and never changes a result.
+_NEGATIVE_STEP = 1 << 13
 
 _VAL_FRACTION = 0.10
 _TEST_FRACTION = 0.10
@@ -86,12 +95,16 @@ def _encode(pairs: np.ndarray, n_items: int) -> np.ndarray:
 
 
 def graph_to_pairs(graph: RelationGraph, features: FeatureMatrix) -> np.ndarray:
-    """Canonical (m, 2) index array for a graph's edges, sorted by id pair."""
-    pairs = sorted(graph.pairs())
-    out = np.empty((len(pairs), 2), dtype=np.int64)
-    for row, (a, b) in enumerate(pairs):
-        ia, ib = features.index_of(a), features.index_of(b)
-        out[row] = (ia, ib) if ia < ib else (ib, ia)
+    """Canonical (m, 2) index array of a graph's distinct endpoint pairs
+    (classes collapsed), sorted by id pair."""
+    n = len(graph.item_ids)
+    ranks = graph.ranks
+    keys = np.unique(ranks[graph.pairs[:, 0]] * np.int64(n) + ranks[graph.pairs[:, 1]])
+    by_rank = features.indices_of(graph.item_ids)[np.argsort(ranks)]
+    a, b = by_rank[keys // n], by_rank[keys % n]
+    out = np.empty((len(keys), 2), dtype=np.int64)
+    np.minimum(a, b, out=out[:, 0])
+    np.maximum(a, b, out=out[:, 1])
     return out
 
 
@@ -101,6 +114,12 @@ def sample_negatives(related: np.ndarray, n_items: int, seed: int) -> np.ndarray
     Returns an (m, 2) int64 array disjoint from the related pairs, without
     self-pairs or duplicates. Errors out when positives cover at least half
     of all unordered pairs, where rejection sampling would stall.
+
+    Each batch draws twice the pairs still needed (at least 4,096), and its
+    draws are taken in order, _NEGATIVE_STEP at a time: a pair is kept the
+    first time it is drawn, unless it is related or already kept. That is
+    one-at-a-time rejection, so the step never changes a result; it bounds
+    the temporaries to the batch's draws and a step's worth.
     """
     related = np.asarray(related, dtype=np.int64).reshape(-1, 2)
     m = len(related)
@@ -115,34 +134,45 @@ def sample_negatives(related: np.ndarray, n_items: int, seed: int) -> np.ndarray
             "for rejection sampling of an equal-size negative set"
         )
     rng = np.random.default_rng(seed)
-    excluded = np.unique(_encode(related, n_items))
-    if len(excluded) != m:
+    # excluded[:m + got] holds the related keys and the got keys kept so
+    # far, sorted; keys holds the kept keys in draw order.
+    related_keys = np.unique(_encode(related, n_items))
+    if len(related_keys) != m:
         raise DataError("duplicate positive pairs")
-    taken = []
-    need = m
-    while need > 0:
-        batch = max(4096, 2 * need)
+    excluded = np.empty(2 * m, dtype=np.int64)
+    excluded[:m] = related_keys
+    del related_keys
+    keys = np.empty(m, dtype=np.int64)
+    got = 0
+    while got < m:
+        batch = max(4096, 2 * (m - got))
         a = rng.integers(0, n_items, size=batch)
         b = rng.integers(0, n_items, size=batch)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        keep = lo != hi
-        keys = lo[keep] * np.int64(n_items) + hi[keep]
-        # Dedup within the batch keeping first occurrence in draw order, so the
-        # result matches one-at-a-time rejection exactly.
-        _, first = np.unique(keys, return_index=True)
-        keys = keys[np.sort(first)]
-        keys = keys[~np.isin(keys, excluded)]
-        if len(keys) > need:
-            keys = keys[:need]
-        if len(keys):
-            taken.append(keys)
-            excluded = np.union1d(excluded, keys)
-            need -= len(keys)
-    keys = np.concatenate(taken)
+        for lo in range(0, batch, _NEGATIVE_STEP):
+            fresh = _fresh_keys(a[lo:lo + _NEGATIVE_STEP], b[lo:lo + _NEGATIVE_STEP],
+                                n_items, excluded[:m + got])[:m - got]
+            keys[got:got + len(fresh)] = fresh
+            excluded[m + got:m + got + len(fresh)] = fresh
+            got += len(fresh)
+            if got == m:
+                break
+            excluded[:m + got].sort(kind="stable")  # merges two sorted runs in place
+    del a, b, excluded
     out = np.empty((m, 2), dtype=np.int64)
-    out[:, 0] = keys // n_items
-    out[:, 1] = keys % n_items
+    np.floor_divide(keys, n_items, out=out[:, 0])
+    np.remainder(keys, n_items, out=out[:, 1])
     return out
+
+
+def _fresh_keys(a, b, n_items, excluded) -> np.ndarray:
+    """Keys of the drawn pairs (a[k], b[k]) that are not self-pairs, not in
+    the sorted excluded and not drawn earlier in a, in draw order."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keys = (lo * np.int64(n_items) + hi)[lo != hi]
+    del lo, hi
+    unique, first = np.unique(keys, return_index=True)
+    at = np.minimum(np.searchsorted(excluded, unique), len(excluded) - 1)
+    return keys[np.sort(first[excluded[at] != unique])]
 
 
 def split(pairs: LabeledPairSet, seed) -> dict:
@@ -191,100 +221,109 @@ def build_user_dataset(triples: UserTripleSet, features: FeatureMatrix,
     universe, excluding every pair co-purchased by anyone. Pairs already
     emitted for an earlier user are not repeated, so no pair can land in two
     split partitions later. Each user draws from an independent generator
-    derived from (seed, user position), making results order-stable.
+    derived from (seed, user position), making results order-stable. Users
+    are taken in sorted id order, and a user's co-purchases in sorted id
+    pair order.
     """
     n = features.n_items
-    by_user: dict = {}
-    for a, b, u in triples.triples:
-        by_user.setdefault(u, []).append((a, b))
-    all_pos_keys = set()
-    for a, b, _ in triples.triples:
-        ia, ib = features.index_of(a), features.index_of(b)
-        lo, hi = (ia, ib) if ia < ib else (ib, ia)
-        all_pos_keys.add(lo * n + hi)
-    qualified = []
-    for u in sorted(by_user):
-        items = set()
-        for a, b in by_user[u]:
-            items.add(a)
-            items.add(b)
-        if len(items) >= MIN_PURCHASES:
-            qualified.append(u)
-    if not qualified:
+    ends = features.indices_of(triples.item_ids)[triples.pairs]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    keys = lo * np.int64(n) + hi
+    all_pos_keys = set(keys.tolist())
+    user_ranks = triples.user_ranks[triples.users]
+    n_users, n_ids = len(triples.user_ids), np.int64(len(triples.item_ids))
+    purchases = np.unique(np.concatenate([user_ranks * n_ids + triples.pairs[:, 0],
+                                          user_ranks * n_ids + triples.pairs[:, 1]]))
+    qualified = np.flatnonzero(np.bincount(purchases // n_ids, minlength=n_users)
+                               >= MIN_PURCHASES)
+    if not len(qualified):
         raise DataError(f"no user has at least {MIN_PURCHASES} distinct purchased items")
+    ranks = triples.ranks
+    order = np.lexsort((ranks[triples.pairs[:, 1]], ranks[triples.pairs[:, 0]], user_ranks))
+    bounds = np.searchsorted(user_ranks[order], [qualified, qualified + 1])
 
     seen_pos: set = set()
     seen_neg: set = set()
     rows, labels, users = [], [], []
-    for uidx, u in enumerate(qualified):
+    for uidx, (start, stop) in enumerate(bounds.T.tolist()):
         rng = np.random.default_rng(np.random.SeedSequence([seed, uidx]))
-        cand = []
-        for a, b in sorted(by_user[u]):
-            ia, ib = features.index_of(a), features.index_of(b)
-            lo, hi = (ia, ib) if ia < ib else (ib, ia)
-            key = lo * n + hi
-            if key not in seen_pos:
-                cand.append((lo, hi, key))
+        mine = order[start:stop]
+        cand = mine[[key not in seen_pos for key in keys[mine].tolist()]]
         if len(cand) > PAIRS_PER_USER:
-            picks = rng.choice(len(cand), size=PAIRS_PER_USER, replace=False)
-            cand = [cand[p] for p in picks]
-        for lo, hi, key in cand:
-            seen_pos.add(key)
-            rows.append((lo, hi))
+            cand = cand[rng.choice(len(cand), size=PAIRS_PER_USER, replace=False)]
+        seen_pos.update(keys[cand].tolist())
         need = len(cand)
-        labels += [True] * need + [False] * need
-        users += [uidx] * (2 * need)
-        while need > 0:
+        negatives = []
+        while len(negatives) < need:
             a = int(rng.integers(0, n))
             b = int(rng.integers(0, n))
             if a == b:
                 continue
-            lo, hi = (a, b) if a < b else (b, a)
-            key = lo * n + hi
+            pair = (a, b) if a < b else (b, a)
+            key = pair[0] * n + pair[1]
             if key in all_pos_keys or key in seen_neg:
                 continue
             seen_neg.add(key)
-            rows.append((lo, hi))
-            need -= 1
-    return LabeledPairSet(features.item_ids, rows, labels, "all",
-                          [str(u) for u in qualified], users)
+            negatives.append(pair)
+        rows += [np.stack([lo[cand], hi[cand]], axis=1),
+                 np.array(negatives, dtype=np.int64).reshape(-1, 2)]
+        labels.append(np.repeat([True, False], need))
+        users.append(np.full(2 * need, uidx))
+    user_at_rank = np.argsort(triples.user_ranks)
+    return LabeledPairSet(features.item_ids, np.concatenate(rows), np.concatenate(labels),
+                          "all", [triples.user_ids[u] for u in user_at_rank[qualified]],
+                          np.concatenate(users))
 
 
 def save_pairs(pairs: LabeledPairSet, path):
-    ids = pairs.item_ids
-    if pairs.user_ids is None:
-        tails = [""] * pairs.n_pairs
-    else:
-        tails = [f"\t{pairs.user_ids[u]}" for u in pairs.users.tolist()]
-    with atomic_writer(path) as f:
-        f.write(f"#partition {pairs.partition}\n")
-        for (i, j), related, tail in zip(pairs.pairs.tolist(), pairs.labels.tolist(), tails):
-            f.write(f"{ids[i]}\t{ids[j]}\t{_LABELS[related]}{tail}\n")
+    """The pair file that load_pairs(path, ...) reads back, written in
+    chunks of rows."""
+    columns = [(pairs.item_ids, pairs.pairs[:, 0]), (pairs.item_ids, pairs.pairs[:, 1]),
+               (_LABELS, pairs.labels)]
+    if pairs.user_ids is not None:
+        columns.append((pairs.user_ids, pairs.users))
+    write_table(path, columns, header=f"#partition {pairs.partition}")
 
 
 def load_pairs(path, features: FeatureMatrix) -> LabeledPairSet:
     """Read a pair file back into index space against a feature matrix.
 
-    Rows come back related first, each half in file order.
+    The file is parsed in chunks of lines into int columns. Rows come back
+    related first, each half in file order; user ids are sorted and
+    numbered in that order.
     """
-    records = read_records(path, (3, 4), header="#partition <tag>")
-    _, (partition,) = next(records)
-    rows, labels, users = [], [], []
-    for lineno, fields in records:
-        if fields[2] not in _LABELS:
-            raise DataError(f"{path}:{lineno}: unknown label {fields[2]!r}")
-        ia, ib = features.index_of(fields[0]), features.index_of(fields[1])
-        if ia == ib:
-            raise DataError(f"{path}:{lineno}: self-pair")
-        rows.append((ia, ib) if ia < ib else (ib, ia))
-        labels.append(fields[2] == "related")
-        users.append(fields[3] if len(fields) == 4 else None)
-    user_ids = None
-    if any(u is not None for u in users):
-        if None in users:
-            raise DataError(f"{path}: user column present on some lines but not all")
-        user_ids = sorted(set(users))
-        index = {u: k for k, u in enumerate(user_ids)}
-        users = [index[u] for u in users]
-    return LabeledPairSet(features.item_ids, rows, labels, partition, user_ids,
-                          None if user_ids is None else users)
+    chunks = read_chunks(path, (3, 4), header="#partition <tag>")
+    (partition,) = next(chunks)
+    parts = [(np.empty((0, 2), np.int64), np.empty(0, bool), np.empty(0, np.int64))]
+    users: dict = {}  # user id -> code, in first-seen order
+    with_users = None  # whether the first record has a user column
+    mixed = None  # 'path:line' of the first record that disagrees with it
+    for chunk in chunks:
+        widths = chunk.widths[:chunk.n]
+        if with_users is None and len(widths):
+            with_users = bool(widths[0] == 4)
+        a, b, label, *user = chunk.columns(4 if with_users and (widths == 4).all() else 3)
+        codes = np.fromiter(map(_LABEL_CODES.get, label, repeat(-1)), np.int8, len(label))
+        chunk.check(codes < 0, lambda k: f"{chunk.where(k)}: unknown label {label[k]!r}")
+        ia, ib = features.find(a), features.find(b)
+        chunk.check(ia < 0, lambda k: f"unknown item id: {a[k]!r}")
+        chunk.check(ib < 0, lambda k: f"unknown item id: {b[k]!r}")
+        chunk.check(ia == ib, lambda k: f"{chunk.where(k)}: self-pair")
+        chunk.raise_error()
+        off = np.flatnonzero(widths != (4 if with_users else 3))
+        if mixed is None and len(off):
+            mixed = chunk.where(off[0])
+        pairs = np.empty((len(widths), 2), dtype=np.int64)
+        np.minimum(ia, ib, out=pairs[:, 0])
+        np.maximum(ia, ib, out=pairs[:, 1])
+        parts.append((pairs, codes.astype(bool), codes_of(users, user[0] if user else ())))
+    if mixed is not None:
+        raise DataError(f"{mixed}: user column present on some lines but not all")
+    pairs = np.concatenate([p for p, _, _ in parts])
+    labels = np.concatenate([lab for _, lab, _ in parts])
+    user_ids = user_col = None
+    if with_users:
+        user_ids, user_ranks = sorted_ids(users)
+        user_col = user_ranks[np.concatenate([u for _, _, u in parts])]
+    del parts
+    return LabeledPairSet(features.item_ids, pairs, labels, partition, user_ids, user_col)

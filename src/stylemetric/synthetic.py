@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import FeatureMatrix, MetricModel, RelationGraph, UserTripleSet
+from .catalog import (RELATION_CLASSES, FeatureMatrix, MetricModel, RelationGraph,
+                      UserTripleSet)
 from .metric import pair_distances_style, pair_terms, project_rows
 from .sampling import MIN_PURCHASES, PAIRS_PER_USER
 
@@ -279,9 +280,8 @@ def generate(config: SynthConfig) -> SynthResult:
                     break
     info["flip_count"] = flip_count
 
-    ii, jj = _triu_pairs(chosen, starts)
-    edges = {(item_ids[i], item_ids[j], "also_bought") for i, j in zip(ii.tolist(), jj.tolist())}
-    graph = RelationGraph(edges)
+    graph = RelationGraph(item_ids, np.stack(_triu_pairs(chosen, starts), axis=1),
+                          np.full(len(chosen), RELATION_CLASSES.index("also_bought")))
     info["c_star_used"] = c_star
     return SynthResult(features, graph, Y, c_star, None, info)
 
@@ -308,8 +308,7 @@ def _generate_two_population(config, features, Y, S, info):
     width = len(str(n_users - 1))
     flip_total = 0
     user_thresholds = []
-    triples = set()
-    seen_user_pairs: set = set()
+    pairs = []  # per user, (lo, hi) with lo < hi
     for uidx in range(n_users):
         urng = np.random.default_rng(np.random.SeedSequence([config.seed, 101, uidx]))
         mask = masks[uidx % 2]
@@ -324,32 +323,34 @@ def _generate_two_population(config, features, Y, S, info):
         flip_total += flips
         quota = [PAIRS_PER_USER - flips, flips]  # [rule-positive, rule-negative]
         got = [0, 0]
-        items_touched = set()
+        mine: dict = {}  # the user's pairs, in draw order
         while got[0] < quota[0] or got[1] < quota[1]:
             p = int(urng.integers(0, N))
             q = int(urng.integers(0, N))
             if p == q:
                 continue
-            lo, hi = (p, q) if p < q else (q, p)
-            if (lo, hi, user) in seen_user_pairs:
+            pair = (p, q) if p < q else (q, p)
+            if pair in mine:
                 continue
-            du = float(pair_distances_style(S, [lo], [hi], mask)[0])
+            du = float(pair_distances_style(S, [pair[0]], [pair[1]], mask)[0])
             bucket = 0 if du < c_u else 1
             if got[bucket] >= quota[bucket]:
                 continue
             got[bucket] += 1
-            seen_user_pairs.add((lo, hi, user))
-            items_touched.add(lo)
-            items_touched.add(hi)
-            triples.add((item_ids[lo], item_ids[hi], user))
+            mine[pair] = None
+        pairs.append(list(mine))
+        items_touched = {item for pair in mine for item in pair}
         if len(items_touched) < MIN_PURCHASES:
             raise ValueError(
                 f"user {user} touches only {len(items_touched)} distinct items; "
                 f"increase n_items so users meet the {MIN_PURCHASES}-purchase floor"
             )
-    triple_set = UserTripleSet(triples)
-    edges = {(a, b, "bought_together") for a, b, _ in triples}
-    graph = RelationGraph(edges)
+    user_ids = [f"u{uidx:0{width}d}" for uidx in range(n_users)]
+    triple_set = UserTripleSet(item_ids, np.concatenate(pairs),
+                               user_ids, np.repeat(np.arange(n_users), PAIRS_PER_USER))
+    keys = np.unique(triple_set.pairs[:, 0] * np.int64(N) + triple_set.pairs[:, 1])
+    graph = RelationGraph(item_ids, np.stack([keys // N, keys % N], axis=1),
+                          np.full(len(keys), RELATION_CLASSES.index("bought_together")))
     c_star = float(np.median(np.asarray(user_thresholds)))
     info.update({
         "n_users": n_users,

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from stylemetric import cli
-from stylemetric.catalog import (DataError, FeatureMatrix, MetricModel,
-                                 RelationGraph, UserTripleSet, canonical_pair,
+from stylemetric.catalog import (RELATION_CLASSES, DataError, FeatureMatrix,
+                                 MetricModel, RelationGraph, UserTripleSet,
                                  load_edges, load_features, load_model, load_triples,
-                                 normalize_rows, save_edges, save_features,
-                                 save_model, save_triples)
+                                 normalize_rows, read_matrix, save_edges,
+                                 save_features, save_model, save_triples)
 from stylemetric.sampling import load_pairs
 from stylemetric.stylespace import load_embedding
 
@@ -24,9 +24,20 @@ def features():
     return FeatureMatrix(ids, rng.standard_normal((8, 4)))
 
 
-def test_canonical_pair_orders_lexicographically():
-    assert canonical_pair("b", "a") == ("a", "b")
-    assert canonical_pair("a", "b") == ("a", "b")
+ALSO_BOUGHT = RELATION_CLASSES.index("also_bought")
+BOUGHT_TOGETHER = RELATION_CLASSES.index("bought_together")
+
+
+def _edge_set(graph):
+    """The graph's edges as (a, b, class) id tuples."""
+    return {(graph.item_ids[a], graph.item_ids[b], RELATION_CLASSES[c])
+            for (a, b), c in zip(graph.pairs.tolist(), graph.classes.tolist())}
+
+
+def _triple_set(triples):
+    """The triples as (a, b, user) id tuples."""
+    return {(triples.item_ids[a], triples.item_ids[b], triples.user_ids[u])
+            for (a, b), u in zip(triples.pairs.tolist(), triples.users.tolist())}
 
 
 def test_feature_matrix_lookup(features):
@@ -114,6 +125,43 @@ def test_load_features_binary_holds_the_payload_once(tmp_path):
         tracemalloc.stop()
     assert back == feats
     assert peak < payload + n_items * n_features
+
+
+def _peak(fn):
+    """(fn's result, the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_matrix_holds_the_payload_plus_one_chunk(tmp_path):
+    """Rows are parsed straight into the (N, F) array: the peak is the
+    payload plus the id table and one chunk's temporaries (its text split
+    into strings), under 2 MiB here, where a list of row arrays and their
+    vstack would hold the payload twice."""
+    rng = np.random.default_rng(8)
+    n_items, n_features = 2000, 256
+    feats = FeatureMatrix([f"item{i:04d}" for i in range(n_items)],
+                          rng.standard_normal((n_items, n_features)))
+    p = tmp_path / "f.tsv"
+    save_features(feats, p)
+    (ids, values), peak = _peak(lambda: read_matrix(p, "features"))
+    assert ids == feats.item_ids and np.array_equal(values, feats.values)
+    assert peak < feats.values.nbytes + 2 * 2**20
+
+
+def test_read_matrix_sizes_its_array_by_the_file(tmp_path):
+    """A header that declares far more rows than the file holds allocates
+    no more than the file could fill, and fails on the row count."""
+    p = tmp_path / "f.tsv"
+    p.write_text("#features 100000000 100\na\t" + "\t".join(["1.0"] * 100) + "\n")
+    with pytest.raises(DataError, match="header says 100000000 items but file has 1"):
+        _peak(lambda: read_matrix(p, "features"))
+    p.write_text("#features 0 3\n")
+    assert read_matrix(p, "features")[1].shape == (0, 3)
 
 
 def test_features_text_roundtrip_is_exact_via_repr(tmp_path):
@@ -231,38 +279,92 @@ def test_load_edges_canonicalizes_and_counts(tmp_path):
     assert g.duplicate_edges == 1
     assert g.dropped_self_edges == 1
     assert g.reversed_edges == 1
-    assert ("a", "b", "also_bought") in g.edges
-    assert ("a", "b") in g.pairs()
+    assert g.item_ids == ["a", "b", "c"]
+    assert g.pairs.tolist() == [[0, 1], [0, 2]]
+    assert g.classes.tolist() == [ALSO_BOUGHT, BOUGHT_TOGETHER]
 
 
 def test_relation_graph_rejects_unknown_class():
-    with pytest.raises(DataError):
-        RelationGraph({("a", "b", "viewed_twice")})
+    for code in (-1, len(RELATION_CLASSES)):
+        with pytest.raises(DataError):
+            RelationGraph(["a", "b"], [[0, 1]], [code])
 
 
 def test_relation_graph_rejects_noncanonical_edges():
     with pytest.raises(DataError):
-        RelationGraph({("b", "a", "also_bought")})
+        RelationGraph(["a", "b"], [[1, 0]], [ALSO_BOUGHT])
     with pytest.raises(DataError):
-        RelationGraph({("a", "a", "also_bought")})
+        RelationGraph(["a", "b"], [[0, 0]], [ALSO_BOUGHT])
+    # the order is the ids', not the table's
+    RelationGraph(["b", "a"], [[1, 0]], [ALSO_BOUGHT])
+    with pytest.raises(DataError):
+        RelationGraph(["b", "a"], [[0, 1]], [ALSO_BOUGHT])
+
+
+def test_tables_reject_repeats_and_bad_indices():
+    with pytest.raises(DataError):
+        RelationGraph(["a", "b"], [[0, 1], [0, 1]], [ALSO_BOUGHT, ALSO_BOUGHT])
+    RelationGraph(["a", "b"], [[0, 1], [0, 1]], [ALSO_BOUGHT, BOUGHT_TOGETHER])
+    with pytest.raises(DataError):
+        RelationGraph(["a", "a"], [[0, 1]], [ALSO_BOUGHT])
+    with pytest.raises(DataError):
+        RelationGraph(["a", "b"], [[0, 2]], [ALSO_BOUGHT])
+    with pytest.raises(DataError):
+        RelationGraph(["a", "b"], [[0, 1]], [ALSO_BOUGHT, ALSO_BOUGHT])
+    with pytest.raises(DataError):
+        UserTripleSet(["a", "b"], [[0, 1], [0, 1]], ["u"], [0, 0])
+    UserTripleSet(["a", "b"], [[0, 1], [0, 1]], ["u", "v"], [0, 1])
+    with pytest.raises(DataError):
+        UserTripleSet(["a", "b"], [[0, 1]], ["u", "u"], [0])
+    with pytest.raises(DataError):
+        UserTripleSet(["a", "b"], [[0, 1]], ["u"], [1])
+    with pytest.raises(DataError):
+        UserTripleSet(["a", "b"], [[1, 0]], ["u"], [0])
 
 
 def test_edges_roundtrip(tmp_path, features):
-    g = RelationGraph({("item000", "item001", "also_bought"),
-                       ("item002", "item003", "bought_together")})
+    g = RelationGraph(["item000", "item001", "item002", "item003"], [[0, 1], [2, 3]],
+                      [ALSO_BOUGHT, BOUGHT_TOGETHER])
     p = tmp_path / "e.tsv"
     save_edges(g, p)
     back = load_edges(p)
-    assert set(back.pairs()) == set(g.pairs())
+    assert back.item_ids == g.item_ids
+    assert np.array_equal(back.pairs, g.pairs)
+    assert np.array_equal(back.classes, g.classes)
+
+
+def test_save_edges_sorts_by_id_and_class_name(tmp_path):
+    g = RelationGraph(["c", "a", "b"], [[1, 0], [2, 0], [1, 2], [1, 2]],
+                      [ALSO_BOUGHT, ALSO_BOUGHT, BOUGHT_TOGETHER, ALSO_BOUGHT])
+    p = tmp_path / "e.tsv"
+    save_edges(g, p)
+    assert p.read_text() == ("a\tb\talso_bought\na\tb\tbought_together\n"
+                             "a\tc\talso_bought\nb\tc\talso_bought\n")
 
 
 def test_load_edges_class_filter(tmp_path):
     p = tmp_path / "e.tsv"
     p.write_text("a\tb\talso_bought\na\tc\talso_viewed\n")
     g = load_edges(p, class_filter=["also_bought"])
-    assert g.edges == {("a", "b", "also_bought")}
+    assert _edge_set(g) == {("a", "b", "also_bought")}
+    assert g.item_ids == ["a", "b"]
     with pytest.raises(DataError):
         load_edges(p, class_filter=["not_a_class"])
+
+
+def test_load_edges_holds_its_arrays_plus_one_chunk(tmp_path):
+    """50,000 edges over 2,000 ids: id tuples in a set took about 270 bytes
+    an edge; the table is 17, and loading holds a few copies of it."""
+    rng = np.random.default_rng(9)
+    n, m = 2000, 50_000
+    keys = rng.choice(n * (n - 1) // 2, size=m, replace=False)
+    a, b = np.triu_indices(n, 1)
+    p = tmp_path / "e.tsv"
+    p.write_text("".join(f"i{i:04d}\ti{j:04d}\talso_bought\n"
+                         for i, j in zip(a[keys].tolist(), b[keys].tolist())))
+    g, peak = _peak(lambda: load_edges(p))
+    assert g.n_edges == m
+    assert peak < 4 * (g.pairs.nbytes + g.classes.nbytes) + 2**20
 
 
 def test_load_edges_validates_endpoints(tmp_path, features):
@@ -281,19 +383,19 @@ def test_load_edges_reports_line_numbers(tmp_path):
 
 
 def test_triples_roundtrip(tmp_path):
-    t = UserTripleSet({("a", "b", "u1"), ("b", "c", "u2")})
+    t = UserTripleSet(["a", "b", "c"], [[0, 1], [1, 2]], ["u1", "u2"], [0, 1])
     p = tmp_path / "t.tsv"
     save_triples(t, p)
     back = load_triples(p)
-    assert back.triples == t.triples
-    assert back.user_ids() == ["u1", "u2"]
+    assert _triple_set(back) == _triple_set(t)
+    assert back.user_ids == ["u1", "u2"]
 
 
 def test_load_triples_canonicalizes(tmp_path):
     p = tmp_path / "t.tsv"
     p.write_text("z\ta\tu9\n")
     back = load_triples(p)
-    assert back.triples == {("a", "z", "u9")}
+    assert _triple_set(back) == {("a", "z", "u9")}
 
 
 class TestMetricModel:

@@ -356,6 +356,21 @@ class TestExitCodes:
                    "--out", tmp_path / "s") == 2
         assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
 
+    def test_sample_with_triples_checks_the_edge_file(self, tmp_path, capsys):
+        """sample --triples builds its pairs from the triples alone, but a
+        corrupt edge file still fails it: --edges is read and checked."""
+        data = tmp_path / "data"
+        assert run("synth", "--n", 300, "--f", 8, "--k", 2, "--edges", 100,
+                   "--mode", "two_population_users", "--seed", 4, "--out", data) == 0
+        argv = ["sample", "--features", data / "features.tsv", "--triples",
+                data / "triples.tsv", "--seed", 4, "--out", tmp_path / "s"]
+        assert run(*argv, "--edges", data / "edges.tsv") == 0
+        bad = tmp_path / "edges.tsv"
+        bad.write_text((data / "edges.tsv").read_text() + "i000\tghost\tbought_together\n")
+        capsys.readouterr()
+        assert run(*argv, "--edges", bad) == 2
+        assert f"{bad}:101: endpoint 'ghost' missing from features" in capsys.readouterr().err
+
     def test_features_with_zero_columns_are_exit_2(self, tmp_path, capsys):
         """Training on an F = 0 feature file is refused, not fitted into an
         empty model."""

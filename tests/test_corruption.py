@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stylemetric.catalog import (DataError, FeatureMatrix, MetricModel,
-                                 RelationGraph, UserTripleSet, load_edges,
+from stylemetric.catalog import (RELATION_CLASSES, DataError, FeatureMatrix,
+                                 MetricModel, RelationGraph, UserTripleSet, load_edges,
                                  load_features, load_model, load_triples,
                                  save_edges, save_features, save_model,
                                  save_triples)
@@ -22,11 +22,13 @@ FEATURES = FeatureMatrix(IDS, np.arange(12.0).reshape(4, 3) / 7)
 FORMATS = {
     "features_text": (lambda p: save_features(FEATURES, p), load_features),
     "features_binary": (lambda p: save_features(FEATURES, p, binary=True), load_features),
-    "edges": (lambda p: save_edges(RelationGraph({("a", "b", "also_bought"),
-                                                  ("b", "d", "bought_together")}), p),
+    "edges": (lambda p: save_edges(RelationGraph(
+                  ["a", "b", "d"], [[0, 1], [1, 2]],
+                  [RELATION_CLASSES.index("also_bought"),
+                   RELATION_CLASSES.index("bought_together")]), p),
               load_edges),
-    "triples": (lambda p: save_triples(UserTripleSet({("a", "b", "u1"),
-                                                      ("c", "d", "u2")}), p),
+    "triples": (lambda p: save_triples(UserTripleSet(IDS, [[0, 1], [2, 3]],
+                                                     ["u1", "u2"], [0, 1]), p),
                 load_triples),
     "pairs": (lambda p: save_pairs(LabeledPairSet(IDS, [[0, 1], [1, 2], [2, 3], [0, 3]],
                                                   [True, True, False, False], "train",

@@ -1,5 +1,6 @@
 """Negative sampling, the three-way split, and the per-user dataset builder."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stylemetric import sampling
-from stylemetric.catalog import DataError, FeatureMatrix, RelationGraph, UserTripleSet
+from stylemetric.catalog import (RELATION_CLASSES, DataError, FeatureMatrix, RelationGraph,
+                                 UserTripleSet)
 from stylemetric.sampling import (LabeledPairSet, TRAIN_POSITIVE_CAP,
                                   build_user_dataset, graph_to_pairs,
                                   load_pairs, sample_negatives, save_pairs,
@@ -89,17 +91,34 @@ def _assert_split_matches_halves(pos, neg, seed, pos_users=None, neg_users=None)
             assert np.array_equal(ps.users, np.concatenate([pu, nu]))
 
 
+def _triple_table(triples):
+    """A UserTripleSet over sorted id tables from (a, b, user) id tuples."""
+    items = sorted({x for a, b, _ in triples for x in (a, b)})
+    users = sorted({u for _, _, u in triples})
+    rows = sorted(triples)
+    return UserTripleSet(items, [(items.index(a), items.index(b)) for a, b, _ in rows],
+                         users, [users.index(u) for _, _, u in rows])
+
+
+def _triple_set(triples):
+    """The triples as (a, b, user) id tuples."""
+    return {(triples.item_ids[a], triples.item_ids[b], triples.user_ids[u])
+            for (a, b), u in zip(triples.pairs.tolist(), triples.users.tolist())}
+
+
 def test_graph_to_pairs_orders_and_indexes():
     feats = _features(5)
-    g = RelationGraph({("i0000", "i0002", "also_bought"),
-                       ("i0001", "i0004", "bought_together")})
+    g = RelationGraph(["i0004", "i0002", "i0001", "i0000"], [[3, 1], [2, 0], [3, 1]],
+                      [RELATION_CLASSES.index("also_bought"),
+                       RELATION_CLASSES.index("bought_together"),
+                       RELATION_CLASSES.index("also_viewed")])
     pairs = graph_to_pairs(g, feats)
     assert pairs.tolist() == [[0, 2], [1, 4]]
 
 
 def test_graph_to_pairs_rejects_unknown_endpoint():
     feats = _features(3)
-    g = RelationGraph({("i0000", "zz", "also_bought")})
+    g = RelationGraph(["i0000", "zz"], [[0, 1]], [RELATION_CLASSES.index("also_bought")])
     with pytest.raises(DataError):
         graph_to_pairs(g, feats)
 
@@ -327,6 +346,80 @@ def test_pairs_file_with_interleaved_labels_loads_related_first(tmp_path):
     assert np.array_equal(load_pairs(out, feats).pairs, back.pairs)
 
 
+def test_mixed_user_column_names_the_first_line_that_disagrees(tmp_path):
+    feats = _features(5)
+    p = tmp_path / "pairs.tsv"
+    p.write_text("#partition all\n"
+                 "i0000\ti0001\trelated\tu\n"
+                 "# a comment\n"
+                 "i0002\ti0003\tunrelated\tu\n"
+                 "i0001\ti0002\trelated\n"
+                 "i0000\ti0004\tunrelated\n")
+    with pytest.raises(DataError, match=f"^{p}:5: user column present on some "
+                                        "lines but not all$"):
+        load_pairs(p, feats)
+    # a later line's own error still comes first, as in a line-by-line read
+    p.write_text(p.read_text() + "i0000\ti0000\trelated\n")
+    with pytest.raises(DataError, match=f"^{p}:7: self-pair$"):
+        load_pairs(p, feats)
+
+
+def _peak(fn):
+    """(fn's result, the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _distinct_pairs(n, count, rng):
+    """count distinct canonical pairs over n items, in random order."""
+    a, b = rng.integers(0, n, (2, 2 * count))
+    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    keys = rng.permutation(keys[keys // n != keys % n])[:count]
+    return np.stack([keys // n, keys % n], axis=1)
+
+
+def _large_table(n=2000, m=50_000, n_users=50, seed=30):
+    """m related and m unrelated distinct pairs over n items, with users."""
+    rng = np.random.default_rng(seed)
+    pairs = _distinct_pairs(n, 2 * m, rng)
+    feats = FeatureMatrix([f"i{k:04d}" for k in range(n)], np.zeros((n, 1)))
+    return feats, _table(pairs[:m], pairs[m:], "train", feats.item_ids,
+                         [f"u{k:02d}" for k in range(n_users)],
+                         rng.integers(0, n_users, m), rng.integers(0, n_users, m))
+
+
+class TestMemoryBounds:
+    """100,000 pairs: per-line Python objects took 5 to 8 times the arrays."""
+
+    def test_save_pairs_holds_one_chunk(self, tmp_path):
+        _, table = _large_table()
+        p = tmp_path / "pairs.tsv"
+        _, peak = _peak(lambda: save_pairs(table, p))
+        assert peak < 2**20 < p.stat().st_size
+
+    def test_load_pairs_holds_a_few_copies_of_its_arrays(self, tmp_path):
+        feats, table = _large_table()
+        p = tmp_path / "pairs.tsv"
+        save_pairs(table, p)
+        back, peak = _peak(lambda: load_pairs(p, feats))
+        assert np.array_equal(back.pairs, table.pairs)
+        assert np.array_equal(back.users, table.users)
+        arrays = back.pairs.nbytes + back.labels.nbytes + back.users.nbytes
+        assert peak < 3 * arrays + 2**20
+
+    def test_sample_negatives_holds_a_few_batches(self):
+        n, m = 2000, 50_000
+        related = _distinct_pairs(n, m, np.random.default_rng(31))
+        neg, peak = _peak(lambda: sample_negatives(related, n, seed=32))
+        assert len(neg) == m
+        batch_array = 2 * m * 8  # one batch's draws of one endpoint
+        assert peak < 5 * batch_array
+
+
 class TestBuildUserDataset:
     @pytest.fixture(autouse=True)
     def _binding_cap(self, monkeypatch):
@@ -345,12 +438,12 @@ class TestBuildUserDataset:
                 if a != b:
                     lo, hi = sorted((int(a), int(b)))
                     triples.add((feats.item_ids[lo], feats.item_ids[hi], f"u{u}"))
-        return UserTripleSet(triples), feats
+        return _triple_table(triples), feats
 
     def test_balanced_per_user(self):
         triples, feats = self._triples()
         ds = build_user_dataset(triples, feats, seed=1)
-        assert ds.user_ids == sorted(triples.user_ids())
+        assert ds.user_ids == sorted(triples.user_ids)
         for u in range(len(ds.user_ids)):
             assert np.sum(ds.labels[ds.users == u]) == 25
             assert np.sum(~ds.labels[ds.users == u]) == 25
@@ -358,15 +451,15 @@ class TestBuildUserDataset:
     def test_negatives_avoid_all_observed_pairs(self):
         triples, feats = self._triples(seed=2)
         ds = build_user_dataset(triples, feats, seed=3)
-        observed = {(feats.index_of(a), feats.index_of(b)) for a, b, _ in triples.triples}
+        observed = {(feats.index_of(a), feats.index_of(b)) for a, b, _ in _triple_set(triples)}
         for p in ds.pairs[~ds.labels].tolist():
             assert tuple(p) not in observed
 
     def test_users_below_threshold_are_dropped(self):
         triples, feats = self._triples(seed=4)
-        extra = set(triples.triples)
+        extra = _triple_set(triples)
         extra.add((feats.item_ids[0], feats.item_ids[1], "lurker"))
-        ds = build_user_dataset(UserTripleSet(extra), feats, seed=5)
+        ds = build_user_dataset(_triple_table(extra), feats, seed=5)
         assert "lurker" not in ds.user_ids
 
     def test_deterministic(self):

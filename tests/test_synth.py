@@ -11,12 +11,24 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stylemetric import synthetic
-from stylemetric.catalog import FeatureMatrix, RelationGraph
+from stylemetric.catalog import RELATION_CLASSES, FeatureMatrix, RelationGraph
 from stylemetric.evaluation import evaluate
 from stylemetric.metric import pair_distances_style, project_rows
 from stylemetric.sampling import (LabeledPairSet, graph_to_pairs,
                                   sample_negatives)
 from stylemetric.synthetic import MODES, SynthConfig, SynthResult, generate
+
+
+def _edge_set(graph):
+    """The graph's edges as (a, b, class) id tuples."""
+    return {(graph.item_ids[a], graph.item_ids[b], RELATION_CLASSES[c])
+            for (a, b), c in zip(graph.pairs.tolist(), graph.classes.tolist())}
+
+
+def _triple_set(triples):
+    """The triples as (a, b, user) id tuples."""
+    return {(triples.item_ids[a], triples.item_ids[b], triples.user_ids[u])
+            for (a, b), u in zip(triples.pairs.tolist(), triples.users.tolist())}
 
 
 def test_modes_enumerated():
@@ -145,12 +157,12 @@ def test_generation_is_deterministic():
                       n_edges=400, noise=0.1, mode="axis_aligned", seed=11)
     a, b = generate(cfg), generate(cfg)
     assert np.array_equal(a.features.values, b.features.values)
-    assert a.graph.edges == b.graph.edges
+    assert _edge_set(a.graph) == _edge_set(b.graph)
     assert a.threshold == b.threshold
     different = generate(SynthConfig(n_items=100, n_features=6, true_rank=2,
                                      n_edges=400, noise=0.1,
                                      mode="axis_aligned", seed=12))
-    assert a.graph.edges != different.graph.edges
+    assert _edge_set(a.graph) != _edge_set(different.graph)
 
 
 def test_config_validation():
@@ -175,10 +187,10 @@ class TestTwoPopulationUsers:
 
     def test_user_count_and_triples_per_user(self):
         res = self._result(n_edges=500)
-        users = res.triples.user_ids()
+        users = res.triples.user_ids
         assert len(users) == 10  # 500 // 50
         by_user = {}
-        for a, b, u in res.triples.triples:
+        for a, b, u in _triple_set(res.triples):
             by_user.setdefault(u, set()).add((a, b))
         for u in users:
             assert len(by_user[u]) == 50
@@ -186,7 +198,7 @@ class TestTwoPopulationUsers:
     def test_each_user_touches_enough_items(self):
         res = self._result(seed=1)
         by_user = {}
-        for a, b, u in res.triples.triples:
+        for a, b, u in _triple_set(res.triples):
             by_user.setdefault(u, set()).update((a, b))
         for items in by_user.values():
             assert len(items) >= 20
@@ -206,8 +218,8 @@ class TestTwoPopulationUsers:
         S = project_rows(res.features.values, res.transform)
         masks = np.array(res.info["population_masks"])
         thresholds = res.info["user_thresholds"]
-        users = res.triples.user_ids()
-        for a, b, u in res.triples.triples:
+        users = res.triples.user_ids
+        for a, b, u in _triple_set(res.triples):
             uidx = users.index(u)
             w = masks[uidx % 2]
             sa = S[res.features.index_of(a)]
@@ -218,7 +230,7 @@ class TestTwoPopulationUsers:
     def test_deterministic(self):
         a = self._result(seed=4)
         b = self._result(seed=4)
-        assert a.triples.triples == b.triples.triples
+        assert _triple_set(a.triples) == _triple_set(b.triples)
 
 
 def _dense_generate(config):
@@ -277,8 +289,8 @@ def _dense_generate(config):
                     break
     info["flip_count"] = flip_count
 
-    edges = {(item_ids[ii[t]], item_ids[jj[t]], "also_bought") for t in chosen}
-    graph = RelationGraph(edges)
+    graph = RelationGraph(item_ids, np.stack([ii[chosen], jj[chosen]], axis=1),
+                          np.full(len(chosen), RELATION_CLASSES.index("also_bought")))
     info["c_star_used"] = c_star
     return SynthResult(features, graph, Y, c_star, None, info)
 
@@ -315,7 +327,7 @@ def test_streaming_generate_matches_the_dense_oracle(config, block):
     with mock.patch.object(synthetic, "_TRIU_BLOCK", block):
         got = generate(config)
     assert np.array_equal(got.features.values, want.features.values)
-    assert got.graph.edges == want.graph.edges
+    assert _edge_set(got.graph) == _edge_set(want.graph)
     assert got.threshold == want.threshold
     assert got.info == want.info
     assert list(got.info) == list(want.info)
