@@ -879,9 +879,8 @@ def load_triples(path, features: FeatureMatrix | None = None) -> UserTripleSet:
         parts.append((codes_of(items, a), codes_of(items, b), codes_of(users, u)))
     item_ids, ranks = sorted_ids(items)
     user_ids, user_ranks = sorted_ids(users)
-    parts = [(a, b, user_ranks[u]) for a, b, u in parts]
-    pairs, user_codes, _ = _canonical_rows(ranks, parts, np.arange(len(user_ids)))
-    return UserTripleSet(item_ids, pairs, user_ids, user_codes)
+    pairs, user_codes, _ = _canonical_rows(ranks, parts, user_ranks)
+    return UserTripleSet(item_ids, pairs, user_ids, user_ranks[user_codes])
 
 
 def save_triples(triples: UserTripleSet, path):
