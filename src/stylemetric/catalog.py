@@ -65,8 +65,9 @@ from itertools import chain, compress, repeat
 
 import numpy as np
 
+from . import FEATURE_NORMS, DataError
+
 RELATION_CLASSES = ("also_viewed", "buy_after_viewing", "also_bought", "bought_together")
-FEATURE_NORMS = ("none", "l2_unit")
 
 _FEATURE_MAGIC = b"SMF1"
 _MODEL_MAGIC = b"SMM1"
@@ -81,10 +82,6 @@ _FINITE_CHECK_BYTES = 1 << 16
 # never change a result.
 _TEXT_CHUNK_BYTES = 1 << 16
 _WRITE_ROWS = 1 << 12
-
-
-class DataError(Exception):
-    """A file or in-memory structure violates the catalog contracts."""
 
 
 def normalize_rows(values: np.ndarray, kind: str) -> np.ndarray:

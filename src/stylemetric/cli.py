@@ -9,6 +9,13 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error. Every
 output replaces its file atomically, and every command that writes files
 also writes a run_manifest.json next to them with input digests, the parsed
 arguments, and wall time, so a run can be reproduced exactly.
+
+Start-up is kept off each command's path. Building the parser imports no
+numpy and no other module of the package: each handler imports the layers
+it runs. Every flag that names an input file is declared with _add_input;
+main opens those files before the handler starts, and one background
+thread hashes them while it runs, so each digest is of the file the
+command read even when the command replaces it.
 """
 
 import argparse
@@ -16,23 +23,12 @@ import hashlib
 import io
 import os
 import sys
+import threading
 import time
 
-import numpy as np
+from . import FEATURE_NORMS, MODES, DataError, TrainingError
 
-from .catalog import (FEATURE_NORMS, DataError, atomic_writer, load_edges,
-                      load_features, load_model, load_triples, read_chunks,
-                      save_edges, save_features, save_model, save_triples,
-                      write_json)
-from .evaluation import EVAL_TSV_HEADER, evaluate
-from .recommend import (build_outfit, makeover_delta, outfit_coherence,
-                        rank_candidates)
-from .sampling import (LabeledPairSet, build_user_dataset, graph_to_pairs,
-                       load_pairs, sample_negatives, save_pairs, split)
-from .stylespace import (embed_all, kmeans, navigate, representatives,
-                         save_clustering, save_embedding, save_path)
-from .synthetic import MODES, SynthConfig, generate
-from .training import (TrainConfig, TrainingError, train, train_personalized)
+_HASH_BLOCK = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,29 +53,77 @@ def _nonneg_int(raw):
     return value
 
 
-def _digest(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+class _Digests:
+    """sha256 of each input file, hashed on one background thread.
+
+    The files are opened here, on the calling thread, before the command
+    runs. The thread reads them in 1 MiB blocks, checks the stop flag between
+    blocks, and keeps any error as that file's result instead of raising.
+    close() sets the flag; the digests are not read after it.
+    """
+
+    def __init__(self, paths):
+        self._results = {}
+        files = []
+        for path in dict.fromkeys(map(str, paths)):
+            try:
+                files.append((path, open(path, "rb")))
+            except OSError as exc:  # the command's own loader reports it
+                self._results[path] = exc
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._hash, args=(files,),
+                                        name="input-digests", daemon=True)
+        self._thread.start()
+
+    def _hash(self, files):
+        for path, f in files:
+            try:
+                with f:
+                    h = hashlib.sha256()
+                    while not self._stop.is_set() and (block := f.read(_HASH_BLOCK)):
+                        h.update(block)
+                    self._results[path] = h.hexdigest()
+            except Exception as exc:  # handed to wait(): the thread never raises
+                self._results[path] = exc
+
+    def wait(self):
+        """{path: sha256 hex} once every file is hashed; raises a file's error."""
+        self._thread.join()
+        for result in self._results.values():
+            if isinstance(result, Exception):
+                raise result
+        return self._results
+
+    def close(self):
+        """Stop hashing and wait for the thread to end."""
+        self._stop.set()
+        self._thread.join()
 
 
-def _write_manifest(out_dir, subcommand, args, inputs, outputs, wall_time):
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if key == "func":
-            continue
-        config[key] = value
+def _input_paths(args):
+    """The paths of the input flags the subcommand declared, in declaration order."""
+    paths = []
+    for dest, separator in getattr(args, "inputs", ()):
+        value = getattr(args, dest)
+        if value is not None:
+            paths += value.split(separator) if separator else [value]
+    return paths
+
+
+def _write_manifest(args, digests, outputs, wall_time):
+    from .catalog import write_json
+
+    config = {key: value for key, value in sorted(vars(args).items())
+              if key not in ("func", "inputs")}
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "config": config,
-        "inputs": {str(p): _digest(p) for p in inputs},
+        "inputs": digests.wait(),
         "outputs": [os.path.basename(str(p)) for p in outputs],
         "seed": getattr(args, "seed", None),
         "wall_time": wall_time,
     }
-    write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
+    write_json(os.path.join(args.out, "run_manifest.json"), manifest)
 
 
 def _ensure_out(args):
@@ -89,6 +133,8 @@ def _ensure_out(args):
 
 def _write_optional(args, name, text):
     """Write text to <out>/name when --out was given; returns the paths written."""
+    from .catalog import atomic_writer
+
     if not args.out:
         return []
     path = os.path.join(_ensure_out(args), name)
@@ -99,6 +145,8 @@ def _write_optional(args, name, text):
 
 def _read_id_list(path):
     """Item ids, one per line; surrounding whitespace is ignored."""
+    from .catalog import read_chunks
+
     items = []
     for chunk in read_chunks(path, 1):
         chunk.raise_error()
@@ -106,8 +154,10 @@ def _read_id_list(path):
     return [item for item in items if item]
 
 
-def _train_config_from_args(args) -> TrainConfig:
+def _train_config_from_args(args):
     """TrainConfig from the flags; a flag left unset keeps the default."""
+    from .training import TrainConfig
+
     settings = {}
     for flag, field in (("kind", "kind"), ("rank", "rank"),
                         ("max_iter", "max_iterations"), ("tolerance", "tolerance"),
@@ -121,9 +171,12 @@ def _train_config_from_args(args) -> TrainConfig:
     return config
 
 
-def _train_outputs(args, fit, *extra_inputs):
+def _train_outputs(args, fit):
     """Run fit(config, features, pairs, progress=log) and write its model,
     report and log; shared by train and train-personalized."""
+    from .catalog import atomic_writer, load_features, save_model, write_json
+    from .sampling import load_pairs
+
     out = _ensure_out(args)
     features = load_features(args.features)
     pairs = load_pairs(args.pairs, features)
@@ -144,14 +197,18 @@ def _train_outputs(args, fit, *extra_inputs):
     print(f"final log-likelihood {report.trace[-1]:.6f}, "
           f"train accuracy {report.train_accuracy:.4f}, "
           f"{report.iterations} iterations ({report.termination})")
-    return [args.features, args.pairs, *extra_inputs], [model_path, report_path, log_path]
+    return [model_path, report_path, log_path]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (input paths, output paths)
+# subcommand handlers; each imports the layers it runs and returns the paths
+# it wrote
 
 
 def _cmd_synth(args):
+    from .catalog import save_edges, save_features, save_model, save_triples, write_json
+    from .synthetic import SynthConfig, generate
+
     out = _ensure_out(args)
     config = SynthConfig(args.n, args.f, args.k, args.edges, args.noise,
                          args.mode, args.seed, args.c_star)
@@ -172,10 +229,16 @@ def _cmd_synth(args):
         save_triples(result.triples, triples_path)
         outputs.append(triples_path)
     write_json(info_path, result.info)
-    return [], outputs
+    return outputs
 
 
 def _cmd_sample(args):
+    import numpy as np
+
+    from .catalog import load_edges, load_features, load_triples
+    from .sampling import (LabeledPairSet, build_user_dataset, graph_to_pairs,
+                           sample_negatives, save_pairs)
+
     out = _ensure_out(args)
     features = load_features(args.features)
     class_filter = args.classes.split(",") if args.classes else None
@@ -185,19 +248,20 @@ def _cmd_sample(args):
     if args.triples:
         triples = load_triples(args.triples, features)
         pairs = build_user_dataset(triples, features, args.seed)
-        inputs = [args.features, args.edges, args.triples]
     else:
         pos = graph_to_pairs(graph, features)
         neg = sample_negatives(pos, features.n_items, args.seed)
         labels = np.repeat([True, False], len(pos))
         pairs = LabeledPairSet(features.item_ids, np.concatenate([pos, neg]), labels, "all")
-        inputs = [args.features, args.edges]
     pairs_path = os.path.join(out, "pairs.tsv")
     save_pairs(pairs, pairs_path)
-    return inputs, [pairs_path]
+    return [pairs_path]
 
 
 def _cmd_split(args):
+    from .catalog import load_features
+    from .sampling import load_pairs, save_pairs, split
+
     out = _ensure_out(args)
     features = load_features(args.features)
     pairs = load_pairs(args.pairs, features)
@@ -207,22 +271,31 @@ def _cmd_split(args):
         path = os.path.join(out, f"{tag}.pairs")
         save_pairs(parts[tag], path)
         outputs.append(path)
-    return [args.features, args.pairs], outputs
+    return outputs
 
 
 def _cmd_train(args):
+    from .training import train
+
     return _train_outputs(args, train)
 
 
 def _cmd_train_personalized(args):
+    from .catalog import load_model
+    from .training import train_personalized
+
     def fit(config, features, pairs, progress):
         return train_personalized(config, features, pairs, load_model(args.warm_start),
                                   freeze_user_weights=args.freeze_user_weights,
                                   progress=progress)
-    return _train_outputs(args, fit, args.warm_start)
+    return _train_outputs(args, fit)
 
 
 def _cmd_eval(args):
+    from .catalog import load_features, load_model
+    from .evaluation import EVAL_TSV_HEADER, evaluate
+    from .sampling import load_pairs
+
     features = load_features(args.features)
     pairs = load_pairs(args.pairs, features)
     model = load_model(args.model)
@@ -233,20 +306,26 @@ def _cmd_eval(args):
     else:
         print(report.text_block(), end="")
         name, text = "eval_report.txt", report.text_block()
-    return [args.features, args.pairs, args.model], _write_optional(args, name, text)
+    return _write_optional(args, name, text)
 
 
 def _cmd_embed(args):
+    from .catalog import load_features, load_model
+    from .stylespace import embed_all, save_embedding
+
     out = _ensure_out(args)
     features = load_features(args.features)
     model = load_model(args.model)
     emb = embed_all(model, features)
     path = os.path.join(out, "embedding.tsv")
     save_embedding(emb, path)
-    return [args.features, args.model], [path]
+    return [path]
 
 
 def _cmd_cluster(args):
+    from .catalog import atomic_writer, load_features, load_model
+    from .stylespace import embed_all, kmeans, representatives, save_clustering
+
     out = _ensure_out(args)
     features = load_features(args.features)
     model = load_model(args.model)
@@ -265,10 +344,13 @@ def _cmd_cluster(args):
         outputs.append(rep_path)
     print(f"k={clustering.k} objective {clustering.objective:.6f} "
           f"({len(clustering.objective_trace)} iterations)")
-    return [args.features, args.model], outputs
+    return outputs
 
 
 def _cmd_navigate(args):
+    from .catalog import load_features, load_model
+    from .stylespace import embed_all, navigate, save_path
+
     out = _ensure_out(args)
     features = load_features(args.features)
     model = load_model(args.model)
@@ -278,21 +360,26 @@ def _cmd_navigate(args):
     save_path(items, cost, hops, path)
     print(" -> ".join(items))
     print(f"total cost {cost:.6f} over {len(hops)} hops")
-    return [args.features, args.model], [path]
+    return [path]
 
 
 def _cmd_recommend(args):
+    from .catalog import load_features, load_model
+    from .recommend import rank_candidates
+
     features = load_features(args.features)
     model = load_model(args.model)
     candidates = _read_id_list(args.category_file)
     ranked = rank_candidates(model, features, args.query, candidates)[: args.top]
     lines = [f"{item}\t{dist!r}\t{prob!r}" for item, dist, prob in ranked]
     print("\n".join(lines))
-    return ([args.features, args.model, args.category_file],
-            _write_optional(args, "recommendations.tsv", "\n".join(lines) + "\n"))
+    return _write_optional(args, "recommendations.tsv", "\n".join(lines) + "\n")
 
 
 def _cmd_build_outfit(args):
+    from .catalog import load_features, load_model
+    from .recommend import build_outfit, rank_candidates
+
     features = load_features(args.features)
     model = load_model(args.model)
     category_files = args.category_files.split(",")
@@ -305,33 +392,44 @@ def _cmd_build_outfit(args):
         dist, prob = scored[pick]
         lines.append(f"{os.path.basename(path)}\t{pick}\t{dist!r}\t{prob!r}")
     print("\n".join(lines))
-    return ([args.features, args.model] + category_files,
-            _write_optional(args, "outfit.tsv", "\n".join(lines) + "\n"))
+    return _write_optional(args, "outfit.tsv", "\n".join(lines) + "\n")
 
 
 def _cmd_score_outfit(args):
+    from .catalog import load_features, load_model
+    from .recommend import outfit_coherence
+
     features = load_features(args.features)
     model = load_model(args.model)
     items = args.items.split(",")
     score = outfit_coherence(model, features, items, args.normalize)
     line = f"{','.join(score.items)}\t{score.pair_count}\t{score.mean_pair_loglik!r}"
     print(line)
-    return [args.features, args.model], _write_optional(args, "outfit_score.tsv", line + "\n")
+    return _write_optional(args, "outfit_score.tsv", line + "\n")
 
 
 def _cmd_makeover_delta(args):
+    from .catalog import load_features, load_model
+    from .recommend import makeover_delta
+
     features = load_features(args.features)
     model = load_model(args.model)
     before = args.before.split(",")
     after = args.after.split(",")
     delta = makeover_delta(model, features, before, after, args.normalize)
     print(repr(delta))
-    return ([args.features, args.model],
-            _write_optional(args, "makeover_delta.tsv", repr(delta) + "\n"))
+    return _write_optional(args, "makeover_delta.tsv", repr(delta) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
+
+
+def _add_input(parser, flag, separator=None, **kwargs):
+    """Add a flag that names an input file (several, joined by separator):
+    main opens and hashes what it names for the run manifest."""
+    dest = parser.add_argument(flag, **kwargs).dest
+    parser.set_defaults(inputs=[*(parser.get_default("inputs") or ()), (dest, separator)])
 
 
 def _add_common(parser, out_required=True):
@@ -372,25 +470,25 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("sample", help="balance edges with sampled negatives")
-    p.add_argument("--features", required=True)
-    p.add_argument("--edges", required=True)
+    _add_input(p, "--features", required=True)
+    _add_input(p, "--edges", required=True)
     p.add_argument("--classes", default=None,
                    help="comma-separated relation classes to keep")
-    p.add_argument("--triples", default=None,
+    _add_input(p, "--triples", default=None,
                    help="user triple file: build the per-user dataset instead "
                         "(--edges is still read and checked)")
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("split", help="80/10/10 train/validation/test split")
-    p.add_argument("--features", required=True)
-    p.add_argument("--pairs", required=True)
+    _add_input(p, "--features", required=True)
+    _add_input(p, "--pairs", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("train", help="fit a metric by maximum likelihood")
-    p.add_argument("--features", required=True)
-    p.add_argument("--pairs", required=True)
+    _add_input(p, "--features", required=True)
+    _add_input(p, "--pairs", required=True)
     p.add_argument("--kind", choices=("low_rank", "weighted_nn"), default=None)
     _add_train_flags(p)
     _add_common(p)
@@ -398,9 +496,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train-personalized",
                        help="fit per-user weights from a global warm start")
-    p.add_argument("--features", required=True)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--warm-start", dest="warm_start", required=True)
+    _add_input(p, "--features", required=True)
+    _add_input(p, "--pairs", required=True)
+    _add_input(p, "--warm-start", dest="warm_start", required=True)
     p.add_argument("--freeze-user-weights", dest="freeze_user_weights",
                    action="store_true")
     _add_train_flags(p)
@@ -408,22 +506,22 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train_personalized)
 
     p = sub.add_parser("eval", help="link-prediction accuracy report")
-    p.add_argument("--features", required=True)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--model", required=True)
+    _add_input(p, "--features", required=True)
+    _add_input(p, "--pairs", required=True)
+    _add_input(p, "--model", required=True)
     p.add_argument("--format", choices=("tsv", "text"), default="text")
     _add_common(p, out_required=False)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("embed", help="write style vectors for all items")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
+    _add_input(p, "--features", required=True)
+    _add_input(p, "--model", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("cluster", help="k-means over style vectors")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
+    _add_input(p, "--features", required=True)
+    _add_input(p, "--model", required=True)
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=100)
     p.add_argument("--seeding", choices=("weighted", "random"), default="weighted")
@@ -433,8 +531,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("navigate", help="min-cost path between two items")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
+    _add_input(p, "--features", required=True)
+    _add_input(p, "--model", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--knn-k", dest="knn_k", type=_positive_int, default=10)
@@ -442,35 +540,35 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_navigate)
 
     p = sub.add_parser("recommend", help="rank candidates against a query item")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
+    _add_input(p, "--features", required=True)
+    _add_input(p, "--model", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--category-file", dest="category_file", required=True,
+    _add_input(p, "--category-file", dest="category_file", required=True,
                    help="file of candidate item ids, one per line")
     p.add_argument("--top", type=_positive_int, default=10)
     _add_common(p, out_required=False)
     p.set_defaults(func=_cmd_recommend)
 
     p = sub.add_parser("build-outfit", help="pick one item per category")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
+    _add_input(p, "--features", required=True)
+    _add_input(p, "--model", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--category-files", dest="category_files", required=True,
+    _add_input(p, "--category-files", separator=",", dest="category_files", required=True,
                    help="comma-separated candidate files, one per slot")
     _add_common(p, out_required=False)
     p.set_defaults(func=_cmd_build_outfit)
 
     p = sub.add_parser("score-outfit", help="mean pairwise log-likelihood")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
+    _add_input(p, "--features", required=True)
+    _add_input(p, "--model", required=True)
     p.add_argument("--items", required=True, help="comma-separated item ids")
     p.add_argument("--normalize", choices=("pairs", "components"), default="pairs")
     _add_common(p, out_required=False)
     p.set_defaults(func=_cmd_score_outfit)
 
     p = sub.add_parser("makeover-delta", help="coherence change between outfits")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
+    _add_input(p, "--features", required=True)
+    _add_input(p, "--model", required=True)
     p.add_argument("--before", required=True, help="comma-separated item ids")
     p.add_argument("--after", required=True, help="comma-separated item ids")
     p.add_argument("--normalize", choices=("pairs", "components"), default="pairs")
@@ -481,17 +579,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    start = time.perf_counter()
+    args = _build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
+    digests = _Digests(_input_paths(args) if out else ())
     try:
-        inputs, outputs = args.func(args)
+        start = time.perf_counter()
+        outputs = args.func(args)
+        if out:
+            _write_manifest(args, digests, outputs, time.perf_counter() - start)
     except (DataError, TrainingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "out", None):
-        _write_manifest(args.out, args.subcommand, args, inputs, outputs,
-                        time.perf_counter() - start)
+    finally:
+        digests.close()
     return 0
 
 

@@ -44,6 +44,9 @@ class LabeledPairSet:
     indices into user_ids. Half of the rows are related, and no pair carries
     both labels. Rows are stored related first, each half in the order given,
     so that the pair files and every training pass see one fixed order.
+    Rows given related first, as every caller in the package gives them, are
+    kept as they are: the set may then share the caller's arrays, which
+    nothing writes into.
     """
 
     def __init__(self, item_ids, pairs, labels, partition, user_ids=None, users=None):
@@ -54,10 +57,18 @@ class LabeledPairSet:
         self.user_ids = None if user_ids is None else list(user_ids)
         self.users = None if users is None else np.asarray(users, dtype=np.int64).reshape(-1)
         self._validate()
-        order = np.argsort(~self.labels, kind="stable")
-        self.pairs, self.labels = self.pairs[order], self.labels[order]
-        if self.users is not None:
-            self.users = self.users[order]
+        half = len(self.labels) // 2
+        if not self.labels[:half].all():  # balanced, so all-related means related first
+            order = np.argsort(~self.labels, kind="stable")
+            self.pairs, self.labels = self.pairs[order], self.labels[order]
+            if self.users is not None:
+                self.users = self.users[order]
+        if half:  # each unrelated key looked up among the sorted related keys
+            related = np.sort(_encode(self.pairs[:half], len(self.item_ids)))
+            unrelated = _encode(self.pairs[half:], len(self.item_ids))
+            found = related[np.minimum(np.searchsorted(related, unrelated), half - 1)]
+            if np.any(found == unrelated):
+                raise DataError("a pair appears with both labels")
 
     def _validate(self):
         if self.partition not in PARTITIONS:
@@ -74,9 +85,6 @@ class LabeledPairSet:
             raise DataError("pair index out of range")
         if np.any(self.pairs[:, 0] >= self.pairs[:, 1]):
             raise DataError("pairs must be canonical (i < j, no self-pairs)")
-        keys = _encode(self.pairs, n)
-        if np.intersect1d(keys[self.labels], keys[~self.labels]).size:
-            raise DataError("a pair appears with both labels")
         if (self.user_ids is None) != (self.users is None):
             raise DataError("user annotations must be all present or all absent")
         if self.users is not None:
@@ -294,7 +302,7 @@ def load_pairs(path, features: FeatureMatrix) -> LabeledPairSet:
     """
     chunks = read_chunks(path, (3, 4), header="#partition <tag>")
     (partition,) = next(chunks)
-    parts = [(np.empty((0, 2), np.int64), np.empty(0, bool), np.empty(0, np.int64))]
+    pair_parts, label_parts, user_parts = [np.empty((0, 2), np.int64)], [np.empty(0, bool)], []
     users: dict = {}  # user id -> code, in first-seen order
     with_users = None  # whether the first record has a user column
     mixed = None  # 'path:line' of the first record that disagrees with it
@@ -316,14 +324,20 @@ def load_pairs(path, features: FeatureMatrix) -> LabeledPairSet:
         pairs = np.empty((len(widths), 2), dtype=np.int64)
         np.minimum(ia, ib, out=pairs[:, 0])
         np.maximum(ia, ib, out=pairs[:, 1])
-        parts.append((pairs, codes.astype(bool), codes_of(users, user[0] if user else ())))
+        pair_parts.append(pairs)
+        label_parts.append(codes.astype(bool))
+        user_parts.append(codes_of(users, user[0] if user else ()))
     if mixed is not None:
         raise DataError(f"{mixed}: user column present on some lines but not all")
-    pairs = np.concatenate([p for p, _, _ in parts])
-    labels = np.concatenate([lab for _, lab, _ in parts])
+    # One column at a time, each dropping its parts, so the parts and the
+    # whole table are never all held at once.
+    pairs = np.concatenate(pair_parts)
+    del pair_parts
+    labels = np.concatenate(label_parts)
+    del label_parts
     user_ids = user_col = None
     if with_users:
         user_ids, user_ranks = sorted_ids(users)
-        user_col = user_ranks[np.concatenate([u for _, _, u in parts])]
-    del parts
+        user_col = user_ranks[np.concatenate(user_parts)]
+    del user_parts
     return LabeledPairSet(features.item_ids, pairs, labels, partition, user_ids, user_col)

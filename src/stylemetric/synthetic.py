@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import MODES
 from .catalog import (RELATION_CLASSES, FeatureMatrix, MetricModel, RelationGraph,
                       UserTripleSet)
 from .metric import pair_distances_style, pair_terms, project_rows
 from .sampling import MIN_PURCHASES, PAIRS_PER_USER
-
-MODES = ("axis_aligned", "cross_feature", "two_population_users")
 
 _USER_THRESHOLD_QUANTILE = 0.10
 _USER_CANDIDATE_DRAWS = 4096

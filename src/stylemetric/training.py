@@ -45,7 +45,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import FEATURE_NORMS, DataError, MetricModel, normalize_rows
+from . import FEATURE_NORMS, TrainingError
+from .catalog import DataError, MetricModel, normalize_rows
 from .metric import (pair_distances_style, pair_terms, project_rows, sigmoid, softplus,
                      touched_rows)
 from .sampling import LabeledPairSet
@@ -73,10 +74,6 @@ _BLOCK = 16384
 # bound.
 _PROBE = 1024
 _PROBE_MARGIN = 1e-6
-
-
-class TrainingError(Exception):
-    """Optimization failed in a way retrying with the same inputs will not fix."""
 
 
 @dataclass

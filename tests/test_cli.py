@@ -8,6 +8,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -113,6 +114,53 @@ def test_manifest_digests_match_inputs(pipeline):
     for path, digest in manifest["inputs"].items():
         want = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
         assert digest == want
+
+
+def _sha256(path):
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+def test_every_manifest_lists_exactly_its_inputs(every_command):
+    """Each subcommand's manifest holds the sha256 of each file it read, and
+    of nothing else: build-outfit's slot files one by one, train-personalized's
+    warm start, sample's triples."""
+    for command, (argv, inputs) in every_command.items():
+        manifest = json.loads((pathlib.Path(argv[-1]) / "run_manifest.json").read_text())
+        assert manifest["subcommand"] == command
+        assert manifest["inputs"] == {path: _sha256(path) for path in inputs}, command
+
+
+def test_manifest_digests_the_input_as_read_when_the_command_replaces_it(pipeline):
+    """split --pairs d/train.pairs --out d reads train.pairs and then writes
+    a new one; the manifest holds the digest of the file it read."""
+    data, splits = pipeline / "data", pipeline / "splits"
+    pairs = splits / "train.pairs"
+    read = _sha256(pairs)
+    assert run("split", "--features", data / "features.tsv", "--pairs", pairs,
+               "--seed", 6, "--out", splits) == 0
+    assert _sha256(pairs) != read
+    manifest = json.loads((splits / "run_manifest.json").read_text())
+    assert manifest["inputs"] == {str(data / "features.tsv"): _sha256(data / "features.tsv"),
+                                  str(pairs): read}
+
+
+def test_a_failing_command_writes_no_manifest_and_leaves_no_thread(pipeline, tmp_path, capsys):
+    """A corrupt and a missing input each exit 2 with the loader's message.
+    The corrupt file is long, so its digest is still being taken when the
+    loader fails on line 3."""
+    features = pipeline / "data" / "features.tsv"
+    bad, missing = tmp_path / "bad.pairs", tmp_path / "missing.pairs"
+    bad.write_text("#partition test\ni000\ti001\trelated\ni000\ti002\tmaybe\n"
+                   + "i000\ti003\trelated\n" * 200_000)
+    threads = threading.active_count()
+    for pairs, message in ((bad, f"{bad}:3: unknown label 'maybe'"),
+                           (missing, f"[Errno 2] No such file or directory: '{missing}'")):
+        out = tmp_path / pairs.stem
+        capsys.readouterr()
+        assert run("split", "--features", features, "--pairs", pairs, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "run_manifest.json").exists()
+        assert threading.active_count() == threads
 
 
 def test_rerun_with_same_seed_is_byte_identical(pipeline):

@@ -1,5 +1,6 @@
-"""Every module-level import in the package and its tests is read, and the
-CLI imports nothing outside the stdlib but numpy.
+"""Every module-level import in the package and its tests is read, the CLI
+imports nothing outside the stdlib but numpy, and each command loads only the
+layers it runs.
 
 A stdlib ast walk: each name a top-level import binds must appear as a name
 somewhere in its module, so deleting code cannot leave dead imports behind.
@@ -11,7 +12,52 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# The package's modules each subcommand loads, besides stylemetric.cli.
+LAYERS = {
+    "synth": ["catalog", "metric", "sampling", "synthetic"],
+    "sample": ["catalog", "sampling"],
+    "split": ["catalog", "sampling"],
+    "train": ["catalog", "metric", "sampling", "training"],
+    "train-personalized": ["catalog", "metric", "sampling", "training"],
+    "eval": ["catalog", "evaluation", "metric", "sampling", "training"],
+    "embed": ["catalog", "metric", "stylespace"],
+    "cluster": ["catalog", "metric", "stylespace"],
+    "navigate": ["catalog", "metric", "stylespace"],
+    "recommend": ["catalog", "metric", "recommend"],
+    "build-outfit": ["catalog", "metric", "recommend"],
+    "score-outfit": ["catalog", "metric", "recommend"],
+    "makeover-delta": ["catalog", "metric", "recommend"],
+}
+
+# Runs cli.main(argv) and prints its exit code and the numpy and stylemetric
+# modules then loaded as the last line.
+_PROBE = ("import sys\n"
+          "from stylemetric import cli\n"
+          "try:\n"
+          "    code = cli.main(sys.argv[1:])\n"
+          "except SystemExit as exc:\n"
+          "    code = exc.code\n"
+          "print(code, *sorted(name for name in sys.modules\n"
+          "                    if name == 'numpy' or name.partition('.')[0] == 'stylemetric'))\n")
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _loaded(argv):
+    """(exit code, numpy and stylemetric modules loaded) of cli.main(argv),
+    run in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", _PROBE, *map(str, argv)], env=_env(),
+                          capture_output=True, text=True, timeout=60)
+    code, *modules = done.stdout.splitlines()[-1].split()
+    return int(code), modules
 
 
 def _unused_imports(source):
@@ -46,10 +92,28 @@ def test_the_cli_imports_only_the_stdlib_and_numpy():
              "before = set(sys.modules)\n"
              "import stylemetric.cli\n"
              "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=_env(), capture_output=True,
                          text=True, check=True, timeout=60).stdout.split()
     assert "stylemetric" in out
     assert [name for name in out
             if name not in sys.stdlib_module_names and name not in ("numpy", "stylemetric")] == []
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["train", "--help"], 0),
+                                        (["train", "--rank", "0"], 1)])
+def test_the_parser_loads_no_numpy_and_no_layer(argv, code):
+    """Help and usage errors build the parser alone: no numpy, and no module
+    of the package but the CLI."""
+    assert _loaded(argv) == (code, ["stylemetric", "stylemetric.cli"])
+
+
+def test_every_subcommand_has_its_layers_listed(every_command):
+    assert sorted(LAYERS) == sorted(every_command)
+
+
+@pytest.mark.parametrize("command", sorted(LAYERS))
+def test_each_subcommand_loads_only_its_own_layers(every_command, command, tmp_path):
+    argv = every_command[command][0]
+    assert _loaded([*argv[:-1], tmp_path / "out"]) == (
+        0, sorted(["numpy", "stylemetric", "stylemetric.cli",
+                   *(f"stylemetric.{layer}" for layer in LAYERS[command])]))

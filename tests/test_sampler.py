@@ -409,7 +409,7 @@ class TestMemoryBounds:
         assert np.array_equal(back.pairs, table.pairs)
         assert np.array_equal(back.users, table.users)
         arrays = back.pairs.nbytes + back.labels.nbytes + back.users.nbytes
-        assert peak < 3 * arrays + 2**20
+        assert peak < 2 * arrays
 
     def test_sample_negatives_holds_a_few_batches(self):
         n, m = 2000, 50_000
