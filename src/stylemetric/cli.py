@@ -13,9 +13,9 @@ arguments, and wall time, so a run can be reproduced exactly.
 Start-up is kept off each command's path. Building the parser imports no
 numpy and no other module of the package: each handler imports the layers
 it runs. Every flag that names an input file is declared with _add_input;
-main opens those files before the handler starts, and one background
-thread hashes them while it runs, so each digest is of the file the
-command read even when the command replaces it.
+when the command writes a manifest, main opens those files before the
+handler starts and hashes the open files after it ends, so each digest is
+of the file the command read even when the command replaces it.
 """
 
 import argparse
@@ -23,7 +23,6 @@ import hashlib
 import io
 import os
 import sys
-import threading
 import time
 
 from . import FEATURE_NORMS, MODES, DataError, TrainingError
@@ -53,51 +52,27 @@ def _nonneg_int(raw):
     return value
 
 
-class _Digests:
-    """sha256 of each input file, hashed on one background thread.
-
-    The files are opened here, on the calling thread, before the command
-    runs. The thread reads them in 1 MiB blocks, checks the stop flag between
-    blocks, and keeps any error as that file's result instead of raising.
-    close() sets the flag; the digests are not read after it.
-    """
-
-    def __init__(self, paths):
-        self._results = {}
-        files = []
-        for path in dict.fromkeys(map(str, paths)):
+def _open_inputs(args):
+    """{path: open binary file} of the input files the subcommand declared,
+    opened before it runs, when it writes a manifest. A path that cannot be
+    opened maps to its OSError, left for the command's own loader to report."""
+    files = {}
+    if args.out:
+        for path in dict.fromkeys(_input_paths(args)):
             try:
-                files.append((path, open(path, "rb")))
-            except OSError as exc:  # the command's own loader reports it
-                self._results[path] = exc
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._hash, args=(files,),
-                                        name="input-digests", daemon=True)
-        self._thread.start()
+                files[path] = open(path, "rb")
+            except OSError as exc:
+                files[path] = exc
+    return files
 
-    def _hash(self, files):
-        for path, f in files:
-            try:
-                with f:
-                    h = hashlib.sha256()
-                    while not self._stop.is_set() and (block := f.read(_HASH_BLOCK)):
-                        h.update(block)
-                    self._results[path] = h.hexdigest()
-            except Exception as exc:  # handed to wait(): the thread never raises
-                self._results[path] = exc
 
-    def wait(self):
-        """{path: sha256 hex} once every file is hashed; raises a file's error."""
-        self._thread.join()
-        for result in self._results.values():
-            if isinstance(result, Exception):
-                raise result
-        return self._results
-
-    def close(self):
-        """Stop hashing and wait for the thread to end."""
-        self._stop.set()
-        self._thread.join()
+def _digest(f) -> str:
+    if isinstance(f, OSError):
+        raise f
+    h = hashlib.sha256()
+    for block in iter(lambda: f.read(_HASH_BLOCK), b""):
+        h.update(block)
+    return h.hexdigest()
 
 
 def _input_paths(args):
@@ -110,7 +85,7 @@ def _input_paths(args):
     return paths
 
 
-def _write_manifest(args, digests, outputs, wall_time):
+def _write_manifest(args, inputs, outputs, wall_time):
     from .catalog import write_json
 
     config = {key: value for key, value in sorted(vars(args).items())
@@ -118,7 +93,7 @@ def _write_manifest(args, digests, outputs, wall_time):
     manifest = {
         "subcommand": args.subcommand,
         "config": config,
-        "inputs": digests.wait(),
+        "inputs": {path: _digest(f) for path, f in inputs.items()},
         "outputs": [os.path.basename(str(p)) for p in outputs],
         "seed": getattr(args, "seed", None),
         "wall_time": wall_time,
@@ -427,7 +402,7 @@ def _cmd_makeover_delta(args):
 
 def _add_input(parser, flag, separator=None, **kwargs):
     """Add a flag that names an input file (several, joined by separator):
-    main opens and hashes what it names for the run manifest."""
+    main opens what it names up front and hashes it for the run manifest."""
     dest = parser.add_argument(flag, **kwargs).dest
     parser.set_defaults(inputs=[*(parser.get_default("inputs") or ()), (dest, separator)])
 
@@ -580,18 +555,19 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out = getattr(args, "out", None)
-    digests = _Digests(_input_paths(args) if out else ())
+    inputs = _open_inputs(args)
     try:
         start = time.perf_counter()
         outputs = args.func(args)
-        if out:
-            _write_manifest(args, digests, outputs, time.perf_counter() - start)
+        if args.out:
+            _write_manifest(args, inputs, outputs, time.perf_counter() - start)
     except (DataError, TrainingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        digests.close()
+        for f in inputs.values():
+            if not isinstance(f, OSError):
+                f.close()
     return 0
 
 

@@ -45,8 +45,8 @@ class LabeledPairSet:
     both labels. Rows are stored related first, each half in the order given,
     so that the pair files and every training pass see one fixed order.
     Rows given related first, as every caller in the package gives them, are
-    kept as they are: the set may then share the caller's arrays, which
-    nothing writes into.
+    kept as they are, without a copy: the set may then share the caller's
+    arrays, which nothing writes into.
     """
 
     def __init__(self, item_ids, pairs, labels, partition, user_ids=None, users=None):
@@ -57,18 +57,15 @@ class LabeledPairSet:
         self.user_ids = None if user_ids is None else list(user_ids)
         self.users = None if users is None else np.asarray(users, dtype=np.int64).reshape(-1)
         self._validate()
-        half = len(self.labels) // 2
-        if not self.labels[:half].all():  # balanced, so all-related means related first
+        if not self._related_first():
             order = np.argsort(~self.labels, kind="stable")
             self.pairs, self.labels = self.pairs[order], self.labels[order]
             if self.users is not None:
                 self.users = self.users[order]
-        if half:  # each unrelated key looked up among the sorted related keys
-            related = np.sort(_encode(self.pairs[:half], len(self.item_ids)))
-            unrelated = _encode(self.pairs[half:], len(self.item_ids))
-            found = related[np.minimum(np.searchsorted(related, unrelated), half - 1)]
-            if np.any(found == unrelated):
-                raise DataError("a pair appears with both labels")
+
+    def _related_first(self) -> bool:
+        # The set is balanced, so an all-related first half means related first.
+        return bool(self.labels[: len(self.labels) // 2].all())
 
     def _validate(self):
         if self.partition not in PARTITIONS:
@@ -85,6 +82,17 @@ class LabeledPairSet:
             raise DataError("pair index out of range")
         if np.any(self.pairs[:, 0] >= self.pairs[:, 1]):
             raise DataError("pairs must be canonical (i < j, no self-pairs)")
+        half = m // 2
+        if half:  # each unrelated key looked up among the sorted related keys
+            if self._related_first():
+                pos, neg = self.pairs[:half], self.pairs[half:]
+            else:
+                pos, neg = self.pairs[self.labels], self.pairs[~self.labels]
+            pos_keys, neg_keys = np.sort(_encode(pos, n)), _encode(neg, n)
+            del pos, neg
+            found = pos_keys[np.minimum(np.searchsorted(pos_keys, neg_keys), half - 1)]
+            if np.any(found == neg_keys):
+                raise DataError("a pair appears with both labels")
         if (self.user_ids is None) != (self.users is None):
             raise DataError("user annotations must be all present or all absent")
         if self.users is not None:
@@ -252,7 +260,9 @@ def build_user_dataset(triples: UserTripleSet, features: FeatureMatrix,
 
     seen_pos: set = set()
     seen_neg: set = set()
-    rows, labels, users = [], [], []
+    # Each user's positives and negatives, kept apart so that all positives
+    # come first, as LabeledPairSet stores them.
+    pos_rows, neg_rows, pos_users, neg_users = [], [], [], []
     for uidx, (start, stop) in enumerate(bounds.T.tolist()):
         rng = np.random.default_rng(np.random.SeedSequence([seed, uidx]))
         mine = order[start:stop]
@@ -273,14 +283,16 @@ def build_user_dataset(triples: UserTripleSet, features: FeatureMatrix,
                 continue
             seen_neg.add(key)
             negatives.append(pair)
-        rows += [np.stack([lo[cand], hi[cand]], axis=1),
-                 np.array(negatives, dtype=np.int64).reshape(-1, 2)]
-        labels.append(np.repeat([True, False], need))
-        users.append(np.full(2 * need, uidx))
+        pos_rows.append(np.stack([lo[cand], hi[cand]], axis=1))
+        neg_rows.append(np.array(negatives, dtype=np.int64).reshape(-1, 2))
+        pos_users.append(np.full(need, uidx))
+        neg_users.append(np.full(need, uidx))
     user_at_rank = np.argsort(triples.user_ranks)
-    return LabeledPairSet(features.item_ids, np.concatenate(rows), np.concatenate(labels),
-                          "all", [triples.user_ids[u] for u in user_at_rank[qualified]],
-                          np.concatenate(users))
+    n_pos = sum(map(len, pos_rows))
+    return LabeledPairSet(features.item_ids, np.concatenate(pos_rows + neg_rows),
+                          np.repeat([True, False], n_pos), "all",
+                          [triples.user_ids[u] for u in user_at_rank[qualified]],
+                          np.concatenate(pos_users + neg_users))
 
 
 def save_pairs(pairs: LabeledPairSet, path):

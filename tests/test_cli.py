@@ -144,14 +144,20 @@ def test_manifest_digests_the_input_as_read_when_the_command_replaces_it(pipelin
                                   str(pairs): read}
 
 
-def test_a_failing_command_writes_no_manifest_and_leaves_no_thread(pipeline, tmp_path, capsys):
-    """A corrupt and a missing input each exit 2 with the loader's message.
-    The corrupt file is long, so its digest is still being taken when the
-    loader fails on line 3."""
+def test_a_failing_command_writes_no_manifest_and_closes_its_inputs(
+        pipeline, tmp_path, capsys, monkeypatch):
+    """A corrupt and a missing input each exit 2 with the loader's message,
+    write no manifest, start no thread and leave no input file open."""
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
     features = pipeline / "data" / "features.tsv"
     bad, missing = tmp_path / "bad.pairs", tmp_path / "missing.pairs"
-    bad.write_text("#partition test\ni000\ti001\trelated\ni000\ti002\tmaybe\n"
-                   + "i000\ti003\trelated\n" * 200_000)
+    bad.write_text("#partition test\ni000\ti001\trelated\ni000\ti002\tmaybe\n")
     threads = threading.active_count()
     for pairs, message in ((bad, f"{bad}:3: unknown label 'maybe'"),
                            (missing, f"[Errno 2] No such file or directory: '{missing}'")):
@@ -161,6 +167,7 @@ def test_a_failing_command_writes_no_manifest_and_leaves_no_thread(pipeline, tmp
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "run_manifest.json").exists()
         assert threading.active_count() == threads
+    assert len(opened) == 3 and all(f.closed for f in opened)
 
 
 def test_rerun_with_same_seed_is_byte_identical(pipeline):

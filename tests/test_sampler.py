@@ -284,6 +284,20 @@ class TestLabeledPairSet:
             LabeledPairSet(["a", "b", "c"], [[0, 1], [0, 2]], [True, False], "all",
                            None, [0, 0])
 
+    def test_label_overlap_is_reported_before_user_errors(self):
+        for labels in ([True, False], [False, True]):
+            with pytest.raises(DataError, match="both labels"):
+                LabeledPairSet(["a", "b"], [[0, 1], [0, 1]], labels, "all", ["u"], [0, 5])
+
+    def test_keeps_related_first_rows_without_a_copy(self):
+        pairs = np.array([[0, 1], [1, 3], [0, 2], [2, 3]], dtype=np.int64)
+        labels = np.array([True, True, False, False])
+        users = np.array([1, 0, 0, 1], dtype=np.int64)
+        ps = LabeledPairSet(["a", "b", "c", "d"], pairs, labels, "all", ["u", "v"], users)
+        assert np.shares_memory(ps.pairs, pairs)
+        assert np.shares_memory(ps.labels, labels)
+        assert np.shares_memory(ps.users, users)
+
     def test_lists_related_pairs_first(self):
         ps = LabeledPairSet(["a", "b", "c", "d"], [[0, 2], [0, 1], [2, 3], [1, 3]],
                             [False, True, False, True], "all", ["u", "v"], [0, 1, 1, 0])
