@@ -122,8 +122,9 @@ class FeatureMatrix:
         for lo in range(0, len(self.values), step):
             if not np.isfinite(self.values[lo:lo + step]).all():
                 raise DataError("non-finite feature value")
-        # The style rows recommend has projected so far (see
-        # recommend._style_rows); not part of equality.
+        # The style rows metric.style_rows has given recommend's queries so
+        # far, with the transform, values and normalization they belong to
+        # (see recommend._style_rows); not part of equality.
         self._styles = None
 
     @property
@@ -156,9 +157,6 @@ class FeatureMatrix:
 
     def __contains__(self, item_id: str) -> bool:
         return item_id in self._index
-
-    def row(self, item_id: str) -> np.ndarray:
-        return self.values[self.index_of(item_id)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -201,10 +199,6 @@ class RelationGraph:
         self.ranks = _canonical_ranks(self.item_ids, self.pairs, "edge")
         if _repeated_rows(self.ranks, self.pairs, self.classes):
             raise DataError("duplicate edge")
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.pairs)
 
 
 @dataclass(eq=False)

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import MetricModel, normalize_rows
+from .catalog import MetricModel
 from .metric import model_distances
-from .sampling import LabeledPairSet
-from .training import _pair_arrays, _users_for_model
+from .sampling import LabeledPairSet, _pair_arrays, _users_for_model
 
 EVAL_TSV_HEADER = "kind\trank\tpartition\tpairs\taccuracy\ttp\ttn\tfp\tfn\tmodel_digest"
 
@@ -59,10 +58,9 @@ class EvalReport:
 
 def evaluate(model: MetricModel, features, pairs) -> EvalReport:
     """Confusion counts and accuracy of the d < c rule on a labeled pair set."""
-    X = normalize_rows(features.values, model.feature_norm)
     i_idx, j_idx, labels, users = _pair_arrays(pairs, features)
     users = _users_for_model(model, pairs, users)
-    d = model_distances(model, X, i_idx, j_idx, users)
+    d = model_distances(model, features.values, i_idx, j_idx, users)
     pred = d < model.threshold
     tp = int(np.sum(pred & labels))
     tn = int(np.sum(~pred & ~labels))

@@ -1,16 +1,18 @@
-"""Distance functions, link probabilities, and the shared batch kernels.
+"""The projection and pair-difference kernels, and link probabilities.
 
-Scalar distances are thin wrappers over the batch kernels so that a distance
-computed one pair at a time is bit-identical to the same pair inside a batch.
-The low-rank paths project rows into style space first and difference second,
-which makes ``dist_lowrank(x_i, x_j, Y)`` equal ``||embed(x_i) - embed(x_j)||^2``
-exactly, not just to rounding. Both rest on one invariant of project_rows: a
-row's bits do not depend on its block-mates or on its offset in a block.
+Every command gets its style rows s = xY from one kernel, project_rows, which
+selects and normalizes rows of the catalog inside its own fixed-shape blocks,
+so no caller copies or normalizes all of X; style_rows picks the rows a
+model measures distances in, for every kind. Distances then come from one
+pair-difference kernel, pair_terms. Both rest on one invariant of
+project_rows: a row's bits do not depend on its block-mates or on its offset
+in a block. So a pair's distance is the same alone or in a batch, and equals
+``||s_i - s_j||^2`` over the rows embed_all writes, to the bit.
 """
 
 import numpy as np
 
-from .catalog import DataError, MetricModel
+from .catalog import DataError, MetricModel, normalize_rows
 
 # Pairs are processed in fixed-size blocks to bound temporary memory. Each
 # pair's value is independent of every other pair, so the block size never
@@ -27,36 +29,56 @@ _PROJECT_BLOCK = 128
 _PROJECT_PANEL = 8
 
 
-def project_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def project_rows(X: np.ndarray, Y: np.ndarray, rows=None, norm: str = "none") -> np.ndarray:
     """Map rows of X (n, F) into style space, s = x Y for every row x.
 
-    Rows go through one GEMM per block of _PROJECT_BLOCK rows; the last,
-    short block is zero-padded to full size, and Y's columns are zero-padded
-    to a multiple of _PROJECT_PANEL, so every BLAS call one Y sees has the
-    same C-contiguous shape (B, F) @ (F, K'). A row's bits then do not
-    depend on its block-mates or on its offset in the block: a row gets the
-    same bits alone, in a batch, or in any subset, which is what makes
+    rows, when given, selects the rows of X to project, in any order and
+    with repeats; norm is the per-row normalization the transform expects
+    (see catalog.normalize_rows). Rows go through one GEMM per block of
+    _PROJECT_BLOCK rows, and Y's columns are zero-padded to a multiple of
+    _PROJECT_PANEL, so every BLAS call one Y sees has the same C-contiguous
+    shape (B, F) @ (F, K'). Without rows or normalization, whole blocks are
+    read from X in place; every other block is gathered into one zero-padded
+    buffer and normalized there, so X is never copied. A row's bits then do
+    not depend on its block-mates or on its offset in the block: a row gets
+    the same bits alone, in a batch, or in any subset, which is what makes
     embeddings and distances agree to the bit.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
-    n, F = X.shape
+    F = X.shape[1]
     if F != Y.shape[0]:
         raise DataError(f"feature dimension {F} does not match transform {Y.shape[0]}")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) and (rows.min() < 0 or rows.max() >= len(X)):
+            raise IndexError(f"row index out of range for {len(X)} rows")
+    n = len(X) if rows is None else len(rows)
     K = Y.shape[1]
     B = _PROJECT_BLOCK
     Yp = np.zeros((F, -(-K // _PROJECT_PANEL) * _PROJECT_PANEL), dtype=np.float64)
     Yp[:, :K] = Y
     out = np.empty((n, K), dtype=np.float64)
     product = np.empty((B, Yp.shape[1]), dtype=np.float64)
+    buffer = None
     for lo in range(0, n, B):
-        block = X[lo:lo + B]
-        if len(block) < B:
-            block = np.zeros((B, F), dtype=np.float64)
-            block[:n - lo] = X[lo:]
+        m = min(B, n - lo)
+        if rows is None and norm == "none" and m == B:
+            block = X[lo:lo + B]
+        else:
+            if buffer is None:
+                buffer = np.zeros((B, F), dtype=np.float64)
+            block = buffer
+            if rows is None:
+                block[:m] = X[lo:lo + m]
+            else:
+                X.take(rows[lo:lo + m], axis=0, out=block[:m], mode="clip")
+            block[m:] = 0.0
+            if norm != "none":
+                block[:m] = normalize_rows(block[:m], norm)
         np.matmul(block, Yp, out=product)
-        out[lo:lo + B] = product[:n - lo, :K]
+        out[lo:lo + m] = product[:m, :K]
     return out
 
 
@@ -66,47 +88,21 @@ def _rowwise_sqnorm(V: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", V, V)
 
 
-def embed(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Style-space coordinates s = x Y of a single item."""
-    return project_rows(x, Y)[0]
+def style_rows(model: MetricModel, X: np.ndarray, rows) -> np.ndarray:
+    """The given rows of the raw feature array X in the space the model
+    measures distances in, in order.
 
-
-def dist_weighted(w, x_i, x_j) -> float:
-    """Weighted nearest-neighbor distance ||w o (x_i - x_j)||^2."""
-    X = np.vstack([x_i, x_j]).astype(np.float64, copy=False)
-    return float(pair_distances_style(X, [0], [1], np.asarray(w, dtype=np.float64))[0])
-
-
-def dist_lowrank(Y, x_i, x_j) -> float:
-    """Low-rank Mahalanobis distance ||(x_i - x_j) Y||^2.
-
-    Computed through the K-dimensional projection of each endpoint; the F x F
-    matrix Y Y^T is never formed.
+    The rows get the normalization the model was trained with. For the
+    low-rank kinds they are then projected, s = xY; weighted_nn has no
+    projection, so its rows are the normalized feature rows themselves.
     """
-    S = project_rows(np.vstack([x_i, x_j]), Y)
-    return float(pair_distances_style(S, [0], [1])[0])
-
-
-def dist_full(M, x_i, x_j) -> float:
-    """Full Mahalanobis distance (x_i - x_j) M (x_i - x_j)^T.
-
-    Quadratic in the feature dimension; exists as a reference for the low-rank
-    form (M = Y Y^T), not for production use.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DataError("full metric requires a square matrix")
-    delta = np.asarray(x_i, dtype=np.float64) - np.asarray(x_j, dtype=np.float64)
-    return float(delta @ M @ delta)
-
-
-def dist_personalized(Y, user_w, x_i, x_j) -> float:
-    """Per-user distance ||(s_i - s_j) o user_w||^2 in style space."""
-    user_w = np.asarray(user_w, dtype=np.float64)
-    if np.any(user_w < 0.0):
-        raise DataError("user weights must be nonnegative")
-    S = project_rows(np.vstack([x_i, x_j]), Y)
-    return float(pair_distances_style(S, [0], [1], user_w)[0])
+    if X.shape[1] != model.n_features:
+        raise DataError(
+            f"feature dimension {X.shape[1]} does not match model ({model.n_features})"
+        )
+    if model.kind == "weighted_nn":
+        return normalize_rows(X.take(rows, axis=0), model.feature_norm)
+    return project_rows(X, model.transform, rows, model.feature_norm)
 
 
 def sigmoid(t):
@@ -166,7 +162,7 @@ def touched_rows(i_idx, j_idx):
     onto them: (rows, i, j) with rows[i] == i_idx and rows[j] == j_idx.
 
     A row's projection does not depend on its block-mates or its offset, so
-    projecting X[rows] and reading pairs (i, j) gives the bits that
+    projecting just these rows and reading pairs (i, j) gives the bits that
     projecting all of X would.
     """
     rows, inverse = np.unique(np.concatenate([i_idx, j_idx]), return_inverse=True)
@@ -191,32 +187,23 @@ def pair_distances_style(S, i_idx, j_idx, w=None) -> np.ndarray:
 
 
 def model_distances(model: MetricModel, X: np.ndarray, i_idx, j_idx, user_idx=None) -> np.ndarray:
-    """Distances under a model for index pairs into a feature array.
+    """Distances under a model for index pairs into a raw feature array.
 
-    X must already carry the normalization the model was trained with (see
-    ``catalog.normalize_rows``). Only the rows the pairs reference are read:
-    the low-rank kinds project just those rows, once each (X itself when the
-    pairs reference every row), and since a row's projection does not depend
-    on its block-mates or its offset the distances are bit-identical to
-    projecting all of X. For personalized models, user_idx selects the
-    per-pair row of the user weight table; omitting it falls back to the
-    shared metric.
+    X is the catalog as loaded; the model's normalization is applied to the
+    rows the pairs reference, and only those rows are read, each once. Since
+    a row's style coordinates do not depend on the rows handled with it, the
+    distances are bit-identical to those over the whole catalog. For
+    personalized models, user_idx selects the per-pair row of the user
+    weight table; omitting it falls back to the shared metric.
     """
-    i_idx = np.asarray(i_idx, dtype=np.int64)
-    j_idx = np.asarray(j_idx, dtype=np.int64)
-    if X.shape[1] != model.n_features:
-        raise DataError(
-            f"feature dimension {X.shape[1]} does not match model ({model.n_features})"
-        )
+    rows, i_idx, j_idx = touched_rows(np.asarray(i_idx, dtype=np.int64),
+                                      np.asarray(j_idx, dtype=np.int64))
+    S = style_rows(model, X, rows)
+    w = None
     if model.kind == "weighted_nn":
-        return pair_distances_style(X, i_idx, j_idx, model.transform)
-    rows, i_idx, j_idx = touched_rows(i_idx, j_idx)
-    # rows is sorted and distinct, so with these ends it is all of X in order.
-    whole = len(rows) == len(X) > 0 and rows[0] == 0 and rows[-1] == len(X) - 1
-    S = project_rows(X if whole else X[rows], model.transform)
-    if model.kind == "personalized" and user_idx is not None:
-        user_idx = np.asarray(user_idx, dtype=np.int64)
+        w = model.transform
+    elif model.kind == "personalized" and user_idx is not None:
         if model.user_weights is None:
             raise DataError("model has no user weight table")
-        return pair_distances_style(S, i_idx, j_idx, model.user_weights[user_idx])
-    return pair_distances_style(S, i_idx, j_idx)
+        w = model.user_weights[np.asarray(user_idx, dtype=np.int64)]
+    return pair_distances_style(S, i_idx, j_idx, w)

@@ -3,18 +3,18 @@
 Everything here reduces to distances from the shared metric kernels plus the
 link probability, so rankings by probability and by ascending distance are
 the same ordering. Queries gather their items' style rows s = xY from a cache
-on the FeatureMatrix: a row is normalized and projected once per catalog and
-transform, the first time a query needs it, and every later query reads the
-same bits, since a row's projection does not depend on the rows projected
-with it.
+on the FeatureMatrix, filled through metric.style_rows: a row is normalized
+and projected once per catalog and transform, the first time a query needs
+it, and every later query reads the same bits, since a row's projection does
+not depend on the rows projected with it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DataError, FeatureMatrix, MetricModel, normalize_rows
-from .metric import link_probability, log_link_probability, pair_distances_style, project_rows
+from .catalog import DataError, FeatureMatrix, MetricModel
+from .metric import link_probability, log_link_probability, pair_distances_style, style_rows
 
 
 @dataclass
@@ -31,30 +31,25 @@ def _style_rows(model: MetricModel, features: FeatureMatrix, items) -> np.ndarra
     which holds one (N, K) array and a mask of the rows filled so far for one
     transform, feature array and normalization; a query projects only the
     rows it needs that are not filled yet. weighted_nn has no projection, so
-    its rows are the normalized feature rows. Threads may share the cache: a
-    new cache replaces the slot in one assignment, each query works from its
-    own reference, a row's mask bit is set only after its values are written,
-    and two threads that fill the same row write the same bits.
+    its rows come from metric.style_rows directly. Threads may share the
+    cache: a new cache replaces the slot in one assignment, each query works
+    from its own reference, a row's mask bit is set only after its values
+    are written, and two threads that fill the same row write the same bits.
     """
-    if features.n_features != model.n_features:
-        raise DataError(f"feature dimension {features.n_features} does not match "
-                        f"model ({model.n_features})")
     idx = features.indices_of(items)
-    norm = model.feature_norm
+    values = features.values
     if model.kind == "weighted_nn":
-        return normalize_rows(features.values.take(idx, axis=0), norm)
+        return style_rows(model, values, idx)
     cache = features._styles
     if (cache is None or cache[0] is not model.transform
-            or cache[1] is not features.values or cache[2] != norm):
-        n = features.n_items
-        cache = (model.transform, features.values, norm,
-                 np.empty((n, model.rank)), np.zeros(n, dtype=bool))
+            or cache[1] is not values or cache[2] != model.feature_norm):
+        cache = (model.transform, values, model.feature_norm,
+                 np.empty((len(values), model.rank)), np.zeros(len(values), dtype=bool))
         features._styles = cache
-    transform, values, _, S, filled = cache
+    S, filled = cache[3:]
     missing = np.unique(idx[~filled.take(idx)])
     if len(missing):
-        S[missing] = project_rows(normalize_rows(values.take(missing, axis=0), norm),
-                                  transform)
+        S[missing] = style_rows(model, values, missing)
         filled[missing] = True
     return S.take(idx, axis=0)
 

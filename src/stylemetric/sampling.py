@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .catalog import (DataError, FeatureMatrix, RelationGraph, UserTripleSet,
+from .catalog import (DataError, FeatureMatrix, MetricModel, RelationGraph, UserTripleSet,
                       codes_of, read_chunks, sorted_ids, write_table)
 
 PARTITIONS = ("train", "validation", "test", "all")
@@ -104,6 +104,48 @@ class LabeledPairSet:
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
+
+
+def _pair_arrays(pairs, features: FeatureMatrix):
+    """(i_idx, j_idx, labels, users or None) from a LabeledPairSet or a plain
+    (i, j, labels[, users]) tuple of row indices into features; a pair set's
+    columns are copied once into contiguous arrays."""
+    if isinstance(pairs, LabeledPairSet):
+        if pairs.item_ids != features.item_ids:
+            raise DataError("pair set item table does not match the feature matrix")
+        return (np.ascontiguousarray(pairs.pairs[:, 0]),
+                np.ascontiguousarray(pairs.pairs[:, 1]), pairs.labels, pairs.users)
+    i_idx = np.asarray(pairs[0], dtype=np.int64)
+    j_idx = np.asarray(pairs[1], dtype=np.int64)
+    labels = np.asarray(pairs[2], dtype=bool)
+    users = np.asarray(pairs[3], dtype=np.int64) if len(pairs) > 3 else None
+    if not (len(i_idx) == len(j_idx) == len(labels)):
+        raise DataError("pair arrays must have equal length")
+    if users is not None and len(users) != len(i_idx):
+        raise DataError("user array length mismatch")
+    n = features.n_items
+    if len(i_idx) and (min(i_idx.min(), j_idx.min()) < 0
+                       or max(i_idx.max(), j_idx.max()) >= n):
+        raise DataError(f"pair index out of range for {n} items")
+    return i_idx, j_idx, labels, users
+
+
+def _users_for_model(model: MetricModel, pairs, users):
+    """Pair-set user indices remapped onto the model's user table.
+
+    None unless the model is personalized and the pairs carry users. Plain
+    tuple users index the model's table directly and must lie inside it.
+    """
+    if users is None or model.kind != "personalized":
+        return None
+    if isinstance(pairs, LabeledPairSet) and pairs.user_ids is not None \
+            and model.user_ids is not None and pairs.user_ids != model.user_ids:
+        remap = np.array([model.user_index(u) for u in pairs.user_ids], dtype=np.int64)
+        return remap[users]
+    if model.user_ids is not None and len(users) \
+            and (users.min() < 0 or users.max() >= len(model.user_ids)):
+        raise DataError(f"user index out of range for the model's {len(model.user_ids)} users")
+    return users
 
 
 def _encode(pairs: np.ndarray, n_items: int) -> np.ndarray:

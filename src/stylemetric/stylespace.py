@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import (DataError, FeatureMatrix, MetricModel, atomic_writer,
-                      normalize_rows, read_matrix, write_matrix)
+from .catalog import (DataError, FeatureMatrix, MetricModel, atomic_writer, read_matrix,
+                      write_matrix)
 from .metric import _rowwise_sqnorm, project_rows
 
 _ASSIGN_BLOCK = 2048
@@ -41,10 +41,6 @@ class StyleEmbedding:
     def n_items(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return self.vectors.shape[1]
-
     def index_of(self, item_id: str) -> int:
         try:
             return self._index[item_id]
@@ -65,8 +61,8 @@ def embed_all(model: MetricModel, features: FeatureMatrix) -> StyleEmbedding:
     """Project every item into style space under a low-rank model."""
     if model.kind == "weighted_nn":
         raise DataError("weighted_nn models have no style-space transform")
-    X = normalize_rows(features.values, model.feature_norm)
-    return StyleEmbedding(features.item_ids, project_rows(X, model.transform))
+    return StyleEmbedding(features.item_ids, project_rows(features.values, model.transform,
+                                                         norm=model.feature_norm))
 
 
 def _nearest(S, centroids):

@@ -49,7 +49,7 @@ from . import FEATURE_NORMS, TrainingError
 from .catalog import DataError, MetricModel, normalize_rows
 from .metric import (pair_distances_style, pair_terms, project_rows, sigmoid, softplus,
                      touched_rows)
-from .sampling import LabeledPairSet
+from .sampling import LabeledPairSet, _pair_arrays, _users_for_model
 
 _GRAD_NORM_FLOOR = 1e-8
 _ARMIJO = 1e-4
@@ -126,26 +126,6 @@ class TrainReport:
     termination: str  # tolerance | max_iterations | gradient_norm | no_ascent_step
 
 
-def _pair_arrays(pairs, features=None):
-    """(i_idx, j_idx, labels, users or None) from a LabeledPairSet or a plain
-    (i, j, labels[, users]) tuple; a pair set's columns are copied once into
-    contiguous arrays."""
-    if isinstance(pairs, LabeledPairSet):
-        if features is not None and pairs.item_ids != features.item_ids:
-            raise DataError("pair set item table does not match the feature matrix")
-        return (np.ascontiguousarray(pairs.pairs[:, 0]),
-                np.ascontiguousarray(pairs.pairs[:, 1]), pairs.labels, pairs.users)
-    i_idx = np.asarray(pairs[0], dtype=np.int64)
-    j_idx = np.asarray(pairs[1], dtype=np.int64)
-    labels = np.asarray(pairs[2], dtype=bool)
-    users = np.asarray(pairs[3], dtype=np.int64) if len(pairs) > 3 else None
-    if not (len(i_idx) == len(j_idx) == len(labels)):
-        raise DataError("pair arrays must have equal length")
-    if users is not None and len(users) != len(i_idx):
-        raise DataError("user array length mismatch")
-    return i_idx, j_idx, labels, users
-
-
 class _Objective:
     """f = -L (+ l2 penalty on the transform) with its gradient.
 
@@ -202,13 +182,12 @@ class _Objective:
         np.maximum(out[t_end:], 0.0, out=out[t_end:])
         return out
 
-    def style(self, transform, rows=slice(None)):
+    def style(self, transform, rows=None):
         """Style coordinates S of the given rows of X (all by default) and the
         shared weight vector, if any."""
-        X = self.X[rows]
         if self.kind == "weighted_nn":
-            return X, transform
-        return project_rows(X, transform), None
+            return (self.X if rows is None else self.X.take(rows, axis=0)), transform
+        return project_rows(self.X, transform, rows), None
 
     def value(self, vec, bound=None):
         """Returns (f, L, train_accuracy, S) at vec from one pass over the pairs,
@@ -333,24 +312,6 @@ def _scatter_rows(out, idx, rows, touched=None):
     K = out.shape[1]
     cells = (inverse[:, None] * K + np.arange(K)).ravel()
     out[rows_idx] += np.bincount(cells, rows.ravel(), len(rows_idx) * K).reshape(-1, K)
-
-
-def _users_for_model(model: MetricModel, pairs, users):
-    """Pair-set user indices remapped onto the model's user table.
-
-    None unless the model is personalized and the pairs carry users. Plain
-    tuple users index the model's table directly and must lie inside it.
-    """
-    if users is None or model.kind != "personalized":
-        return None
-    if isinstance(pairs, LabeledPairSet) and pairs.user_ids is not None \
-            and model.user_ids is not None and pairs.user_ids != model.user_ids:
-        remap = np.array([model.user_index(u) for u in pairs.user_ids], dtype=np.int64)
-        return remap[users]
-    if model.user_ids is not None and len(users) \
-            and (users.min() < 0 or users.max() >= len(model.user_ids)):
-        raise DataError(f"user index out of range for the model's {len(model.user_ids)} users")
-    return users
 
 
 def _objective_for_model(model: MetricModel, features, pairs):

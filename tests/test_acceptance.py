@@ -17,8 +17,7 @@ import pytest
 from stylemetric import cli
 from stylemetric.catalog import DataError, FeatureMatrix, MetricModel
 from stylemetric.evaluation import evaluate
-from stylemetric.metric import (dist_full, dist_lowrank, link_probability,
-                                model_distances)
+from stylemetric.metric import link_probability, model_distances
 from stylemetric.recommend import makeover_delta, outfit_coherence
 from stylemetric.sampling import (TRAIN_POSITIVE_CAP, LabeledPairSet,
                                   build_user_dataset, graph_to_pairs,
@@ -133,8 +132,10 @@ def test_criterion_02_low_rank_matches_full_metric():
         k = int(rng.integers(1, f + 1))
         Y = rng.standard_normal((f, k))
         x_i, x_j = rng.standard_normal(f), rng.standard_normal(f)
-        a = dist_lowrank(Y, x_i, x_j)
-        b = dist_full(Y @ Y.T, x_i, x_j)
+        model = MetricModel("low_rank", Y, 1.0)
+        a = model_distances(model, np.vstack([x_i, x_j]), [0], [1])[0]
+        delta = x_i - x_j
+        b = float(delta @ (Y @ Y.T) @ delta)  # the full form, as the oracle
         worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
     assert worst < 1e-9
     _report("02 low-rank equals full form", f"1000 instances, worst rel {worst:.2e} < 1e-9")

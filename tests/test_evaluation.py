@@ -7,7 +7,7 @@ from stylemetric.catalog import DataError, FeatureMatrix, MetricModel
 from stylemetric.evaluation import EVAL_TSV_HEADER, evaluate, model_digest
 from stylemetric.metric import model_distances
 from stylemetric.sampling import LabeledPairSet
-from stylemetric.training import log_likelihood
+from stylemetric.training import TrainConfig, gradient, log_likelihood, train
 
 
 def _fixture(seed=0, n=30, f=5, m=40):
@@ -125,3 +125,17 @@ def test_tuple_users_outside_the_model_table_are_a_data_error():
             score(model, feats, pairs)
     in_range = pairs[:3] + (np.array([0, 0]),)
     assert evaluate(model, feats, in_range).n_pairs == 2
+
+
+@pytest.mark.parametrize("i, j", [([-1, 0], [1, 2]), ([0, 1], [1, 3])])
+def test_tuple_pair_indices_outside_the_catalog_are_a_data_error(i, j):
+    """Plain (i, j, labels) arrays index the feature rows directly; a
+    negative index or one past the last row is a DataError, not a wrapped
+    row or a stray IndexError."""
+    feats = FeatureMatrix(["a", "b", "c"], np.eye(3)[:, :2])
+    model = MetricModel("low_rank", np.ones((2, 1)), 1.0)
+    pairs = (np.array(i), np.array(j), np.array([True, False]))
+    for score in (evaluate, log_likelihood, gradient,
+                  lambda model, feats, pairs: train(TrainConfig(rank=1), feats, pairs)):
+        with pytest.raises(DataError, match="pair index out of range"):
+            score(model, feats, pairs)

@@ -23,7 +23,7 @@ LAYERS = {
     "split": ["catalog", "sampling"],
     "train": ["catalog", "metric", "sampling", "training"],
     "train-personalized": ["catalog", "metric", "sampling", "training"],
-    "eval": ["catalog", "evaluation", "metric", "sampling", "training"],
+    "eval": ["catalog", "evaluation", "metric", "sampling"],
     "embed": ["catalog", "metric", "stylespace"],
     "cluster": ["catalog", "metric", "stylespace"],
     "navigate": ["catalog", "metric", "stylespace"],

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,22 +13,35 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from stylemetric import metric
-from stylemetric.catalog import DataError, MetricModel
-from stylemetric.metric import (dist_full, dist_lowrank,
-                                dist_personalized, dist_weighted, embed,
-                                link_probability, log_link_probability,
-                                model_distances, pair_distances_style,
-                                pair_terms, project_rows, sigmoid, softplus)
+from stylemetric import FEATURE_NORMS, metric
+from stylemetric.catalog import DataError, FeatureMatrix, MetricModel, normalize_rows
+from stylemetric.evaluation import evaluate
+from stylemetric.metric import (link_probability, log_link_probability, model_distances,
+                                pair_distances_style, pair_terms, project_rows, sigmoid,
+                                softplus)
+from stylemetric.sampling import LabeledPairSet
+from stylemetric.stylespace import embed_all
 
 
 def brute_full(M, x_i, x_j):
+    """The full form (x_i - x_j) M (x_i - x_j)^T, the oracle for the factored one."""
     delta = x_i - x_j
     return float(delta @ M @ delta)
 
 
 def brute_weighted(w, x_i, x_j):
     return float(sum((wk * (a - b)) ** 2 for wk, a, b in zip(w, x_i, x_j)))
+
+
+def _model(kind, transform, c=1.0, **kw):
+    return MetricModel(kind=kind, transform=np.asarray(transform, dtype=np.float64),
+                       threshold=c, **kw)
+
+
+def _alone(model, x_i, x_j, user=None):
+    """model_distances of the one pair (x_i, x_j), with its user's weights."""
+    users = None if user is None else [user]
+    return float(model_distances(model, np.vstack([x_i, x_j]), [0], [1], users)[0])
 
 
 def test_lowrank_matches_full_quadratic_form():
@@ -39,21 +53,11 @@ def test_lowrank_matches_full_quadratic_form():
         Y = rng.standard_normal((f, k))
         x_i = rng.standard_normal(f)
         x_j = rng.standard_normal(f)
-        d_low = dist_lowrank(Y, x_i, x_j)
-        d_ful = dist_full(Y @ Y.T, x_i, x_j)
+        d_low = _alone(_model("low_rank", Y), x_i, x_j)
+        d_ful = brute_full(Y @ Y.T, x_i, x_j)
         rel = abs(d_low - d_ful) / max(abs(d_ful), 1e-300)
         worst = max(worst, rel)
     assert worst < 1e-9
-
-
-def test_full_matches_brute_force():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        f = int(rng.integers(1, 10))
-        M = rng.standard_normal((f, f))
-        M = M + M.T
-        x_i, x_j = rng.standard_normal(f), rng.standard_normal(f)
-        assert dist_full(M, x_i, x_j) == pytest.approx(brute_full(M, x_i, x_j), rel=1e-12)
 
 
 def test_weighted_matches_brute_force():
@@ -62,21 +66,27 @@ def test_weighted_matches_brute_force():
         f = int(rng.integers(1, 10))
         w = rng.uniform(0, 2, f)
         x_i, x_j = rng.standard_normal(f), rng.standard_normal(f)
-        assert dist_weighted(w, x_i, x_j) == pytest.approx(brute_weighted(w, x_i, x_j), rel=1e-12)
+        assert _alone(_model("weighted_nn", w), x_i, x_j) == pytest.approx(
+            brute_weighted(w, x_i, x_j), rel=1e-12)
 
 
 def test_lowrank_equals_embedded_euclidean_exactly():
     """Projecting first and differencing after must be the same float ops
-    the distance kernel performs, so the two agree bit for bit."""
+    the distance kernel performs, so every distance equals the squared
+    difference of the embed_all rows bit for bit, under either norm."""
     rng = np.random.default_rng(3)
-    for _ in range(200):
+    for trial in range(200):
+        n = int(rng.integers(2, 6))
         f = int(rng.integers(1, 20))
         k = int(rng.integers(1, 8))
-        Y = rng.standard_normal((f, k))
-        x_i, x_j = rng.standard_normal(f), rng.standard_normal(f)
-        s_i, s_j = embed(Y, x_i), embed(Y, x_j)
-        direct = float(np.einsum("ij,ij->i", (s_i - s_j)[None, :], (s_i - s_j)[None, :])[0])
-        assert dist_lowrank(Y, x_i, x_j) == direct
+        norm = FEATURE_NORMS[trial % 2]
+        model = MetricModel("low_rank", rng.standard_normal((f, k)), 1.0,
+                            metadata={"feature_norm": norm})
+        feats = FeatureMatrix([f"i{z}" for z in range(n)], rng.standard_normal((n, f)))
+        S = embed_all(model, feats).vectors
+        i, j = np.triu_indices(n, 1)
+        direct = np.einsum("ij,ij->i", S[i] - S[j], S[i] - S[j])
+        assert np.array_equal(model_distances(model, feats.values, i, j), direct)
 
 
 def test_symmetry_is_exact():
@@ -85,20 +95,20 @@ def test_symmetry_is_exact():
         f = int(rng.integers(1, 16))
         k = int(rng.integers(1, 5))
         Y = rng.standard_normal((f, k))
-        w = rng.uniform(0, 1, f)
-        uw = rng.uniform(0, 1, k)
+        uw = rng.uniform(0, 1, (1, k))
         x_i, x_j = rng.standard_normal(f), rng.standard_normal(f)
-        assert dist_lowrank(Y, x_i, x_j) == dist_lowrank(Y, x_j, x_i)
-        assert dist_weighted(w, x_i, x_j) == dist_weighted(w, x_j, x_i)
-        assert dist_personalized(Y, uw, x_i, x_j) == dist_personalized(Y, uw, x_j, x_i)
+        for m, user in ((_model("low_rank", Y), None),
+                        (_model("weighted_nn", rng.uniform(0, 1, f)), None),
+                        (_model("personalized", Y, user_ids=["u0"], user_weights=uw), 0)):
+            assert _alone(m, x_i, x_j, user) == _alone(m, x_j, x_i, user)
 
 
 def test_self_distance_is_zero():
     rng = np.random.default_rng(5)
     Y = rng.standard_normal((6, 3))
     x = rng.standard_normal(6)
-    assert dist_lowrank(Y, x, x) == 0.0
-    assert dist_weighted(np.ones(6), x, x) == 0.0
+    assert _alone(_model("low_rank", Y), x, x) == 0.0
+    assert _alone(_model("weighted_nn", np.ones(6)), x, x) == 0.0
 
 
 def test_distances_are_nonnegative():
@@ -106,8 +116,8 @@ def test_distances_are_nonnegative():
     for _ in range(200):
         Y = rng.standard_normal((8, 3))
         x_i, x_j = rng.standard_normal(8), rng.standard_normal(8)
-        assert dist_lowrank(Y, x_i, x_j) >= 0.0
-        assert dist_weighted(rng.uniform(0, 1, 8), x_i, x_j) >= 0.0
+        assert _alone(_model("low_rank", Y), x_i, x_j) >= 0.0
+        assert _alone(_model("weighted_nn", rng.uniform(0, 1, 8)), x_i, x_j) >= 0.0
 
 
 def test_personalized_reweights_style_dimensions():
@@ -116,17 +126,20 @@ def test_personalized_reweights_style_dimensions():
     x_i, x_j = rng.standard_normal(10), rng.standard_normal(10)
     s = (x_i - x_j) @ Y
     uw = rng.uniform(0, 2, 4)
+    m = _model("personalized", Y, user_ids=["u0", "u1"], user_weights=[uw, np.ones(4)])
     expected = float(np.sum((s * uw) ** 2))
-    assert dist_personalized(Y, uw, x_i, x_j) == pytest.approx(expected, rel=1e-12)
+    assert _alone(m, x_i, x_j, 0) == pytest.approx(expected, rel=1e-12)
     # all-ones weights recover the global metric
-    assert dist_personalized(Y, np.ones(4), x_i, x_j) == pytest.approx(
-        dist_lowrank(Y, x_i, x_j), rel=1e-12)
+    assert _alone(m, x_i, x_j, 1) == pytest.approx(
+        _alone(_model("low_rank", Y), x_i, x_j), rel=1e-12)
 
 
 def test_personalized_rejects_negative_weights():
-    Y = np.eye(3)
+    """A personalized model cannot hold a negative user weight, so no
+    distance is ever taken under one."""
     with pytest.raises(DataError):
-        dist_personalized(Y, np.array([1.0, -0.5, 1.0]), np.zeros(3), np.ones(3))
+        _model("personalized", np.eye(3), user_ids=["u0"],
+               user_weights=np.array([[1.0, -0.5, 1.0]]))
 
 
 def test_project_rows_single_row_equals_batch():
@@ -168,40 +181,75 @@ def _laid_out(A, layout, rng):
 @given(block=st.sampled_from([1, 3, 4, metric._PROJECT_BLOCK]),
        blocks=st.integers(0, 3), extra=st.integers(-2, 2), f=st.integers(1, 9),
        k=st.integers(1, 20), x_layout=st.sampled_from(("C", "F", "sliced")),
-       y_layout=st.sampled_from(("C", "F", "sliced")), seed=st.integers(0, 2**32 - 1))
-@example(block=3, blocks=0, extra=0, f=3, k=2, x_layout="C", y_layout="C", seed=0)
-@example(block=4, blocks=1, extra=1, f=1, k=3, x_layout="F", y_layout="sliced", seed=1)
-@example(block=1, blocks=2, extra=1, f=4, k=1, x_layout="sliced", y_layout="F", seed=2)
+       y_layout=st.sampled_from(("C", "F", "sliced")), norm=st.sampled_from(FEATURE_NORMS),
+       seed=st.integers(0, 2**32 - 1))
+@example(block=3, blocks=0, extra=0, f=3, k=2, x_layout="C", y_layout="C", norm="none",
+         seed=0)
+@example(block=4, blocks=1, extra=1, f=1, k=3, x_layout="F", y_layout="sliced",
+         norm="l2_unit", seed=1)
+@example(block=1, blocks=2, extra=1, f=4, k=1, x_layout="sliced", y_layout="F",
+         norm="none", seed=2)
 @example(block=metric._PROJECT_BLOCK, blocks=1, extra=-1, f=9, k=17, x_layout="sliced",
-         y_layout="sliced", seed=3)
+         y_layout="sliced", norm="l2_unit", seed=3)
 def test_project_rows_gives_each_row_the_bits_of_its_own_padded_block(
-        block, blocks, extra, f, k, x_layout, y_layout, seed):
+        block, blocks, extra, f, k, x_layout, y_layout, norm, seed):
     """With any block size, every row gets the bits of a block that holds it
-    alone: in the whole batch on either side of a block boundary, in any
-    subset and order of rows (repeats included), alone, as a 1-D input and
-    through embed, whatever the layouts of X and Y."""
+    alone, normalized: in the whole batch on either side of a block
+    boundary, in any subset and order of rows (repeats and none included),
+    selected by rows or gathered first, alone and as a 1-D input, whatever
+    the layouts of X and Y. Zero rows stay zero under l2_unit."""
     n = max(0, blocks * block + extra)
     rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(-8, 8, (n, 1))
     rows = rng.standard_normal((n, f)) * scales
+    rows[rng.random(n) < 0.2] = 0.0
     X = _laid_out(rows, x_layout, rng)
     Y = _laid_out(rng.standard_normal((f, k)), y_layout, rng)
-    want = np.array([_own_block(row, Y, block) for row in rows]).reshape(n, k)
+    unit = normalize_rows(rows, norm)
+    want = np.array([_own_block(row, Y, block) for row in unit]).reshape(n, k)
     with mock.patch.object(metric, "_PROJECT_BLOCK", block):
-        S = project_rows(X, Y)
+        S = project_rows(X, Y, norm=norm)
         assert S.shape == (n, k)
         assert S.flags.c_contiguous
         assert np.array_equal(S, want)
+        assert project_rows(X, Y, [], norm).shape == (0, k)
         if n == 0:
             return
         subset = rng.integers(0, n, int(rng.integers(0, 2 * n + 1)))
-        assert np.array_equal(project_rows(X[subset], Y), want[subset])
         order = rng.permutation(n)
-        assert np.array_equal(project_rows(X[order], Y), want[order])
+        for selected in (subset, order):
+            assert np.array_equal(project_rows(X, Y, selected, norm), want[selected])
+            assert np.array_equal(project_rows(unit[selected], Y), want[selected])
         for r in range(n):
-            assert np.array_equal(project_rows(X[r:r + 1], Y)[0], want[r])
-            assert np.array_equal(project_rows(X[r], Y)[0], want[r])
-            assert np.array_equal(embed(Y, X[r]), want[r])
+            assert np.array_equal(project_rows(X, Y, [r], norm)[0], want[r])
+            assert np.array_equal(project_rows(unit[r:r + 1], Y)[0], want[r])
+            assert np.array_equal(project_rows(unit[r], Y)[0], want[r])
+
+
+@pytest.mark.parametrize("norm", FEATURE_NORMS)
+@pytest.mark.parametrize("command", ["evaluate", "embed_all"])
+def test_style_rows_hold_no_copy_of_the_catalog(command, norm):
+    """evaluate and embed_all, under either normalization, hold the N x K
+    style rows and a few blocks of feature rows at a time, never a copy of
+    the N x F catalog: the rows are selected and normalized inside
+    project_rows' blocks. The test pairs touch half the catalog, as a test
+    split touches part of it."""
+    rng = np.random.default_rng(19)
+    n, f, k, m = 4000, 256, 4, 1000
+    feats = FeatureMatrix([f"i{z}" for z in range(n)], rng.standard_normal((n, f)))
+    model = MetricModel("low_rank", rng.standard_normal((f, k)), 1.0,
+                        metadata={"feature_norm": norm})
+    pairs = [(2 * z, 2 * z + 1) for z in range(m)] + [(2 * z, 2 * z + 3) for z in range(m)]
+    ps = LabeledPairSet(feats.item_ids, pairs, [True] * m + [False] * m, "test")
+    run = {"evaluate": lambda: evaluate(model, feats, ps),
+           "embed_all": lambda: embed_all(model, feats)}[command]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n * k + 4 * metric._PROJECT_BLOCK * f) < 8 * n * f / 6
 
 
 _THREADED_PROJECTION = """
@@ -311,7 +359,7 @@ def test_pair_distances_weighted_matches_scalar_kernel():
     j_idx = rng.integers(0, 40, 25)
     d = pair_distances_style(X, i_idx, j_idx, w)
     for n, (i, j) in enumerate(zip(i_idx, j_idx)):
-        assert d[n] == dist_weighted(w, X[i], X[j])
+        assert d[n] == _alone(_model("weighted_nn", w), X[i], X[j])
 
 
 def test_pair_distances_style_matches_scalar_kernel():
@@ -323,7 +371,7 @@ def test_pair_distances_style_matches_scalar_kernel():
     j_idx = rng.integers(0, 30, 20)
     d = pair_distances_style(S, i_idx, j_idx)
     for n, (i, j) in enumerate(zip(i_idx, j_idx)):
-        assert d[n] == dist_lowrank(Y, X[i], X[j])
+        assert d[n] == _alone(_model("low_rank", Y), X[i], X[j])
 
 
 def test_pair_distances_blocking_is_invisible():
@@ -341,11 +389,6 @@ def test_pair_distances_blocking_is_invisible():
     assert np.array_equal(whole, pieces)
 
 
-def _model(kind, transform, c, **kw):
-    return MetricModel(kind=kind, transform=np.asarray(transform, dtype=np.float64),
-                       threshold=c, **kw)
-
-
 class TestModelDistances:
     def test_weighted_kind(self):
         rng = np.random.default_rng(13)
@@ -353,8 +396,9 @@ class TestModelDistances:
         w = rng.uniform(0, 1, 5)
         m = _model("weighted_nn", w, 1.0)
         d = model_distances(m, X, np.array([0, 1]), np.array([2, 3]))
-        assert d[0] == dist_weighted(w, X[0], X[2])
-        assert d[1] == dist_weighted(w, X[1], X[3])
+        assert d[0] == _alone(m, X[0], X[2])
+        assert d[1] == _alone(m, X[1], X[3])
+        assert d[0] == pytest.approx(brute_weighted(w, X[0], X[2]), rel=1e-12)
 
     def test_low_rank_kind(self):
         rng = np.random.default_rng(14)
@@ -362,7 +406,8 @@ class TestModelDistances:
         Y = rng.standard_normal((5, 2))
         m = _model("low_rank", Y, 1.0)
         d = model_distances(m, X, np.array([4]), np.array([9]))
-        assert d[0] == dist_lowrank(Y, X[4], X[9])
+        assert d[0] == _alone(m, X[4], X[9])
+        assert d[0] == pytest.approx(brute_full(Y @ Y.T, X[4], X[9]), rel=1e-9)
 
     def test_personalized_kind(self):
         rng = np.random.default_rng(15)
@@ -372,8 +417,9 @@ class TestModelDistances:
         m = _model("personalized", Y, 1.0, user_ids=["u0", "u1"], user_weights=W)
         d = model_distances(m, X, np.array([0, 0]), np.array([1, 1]),
                             user_idx=np.array([0, 1]))
-        assert d[0] == dist_personalized(Y, W[0], X[0], X[1])
-        assert d[1] == dist_personalized(Y, W[1], X[0], X[1])
+        assert d[0] == _alone(m, X[0], X[1], 0)
+        assert d[1] == _alone(m, X[0], X[1], 1)
+        assert d[1] == pytest.approx(np.sum(((X[0] - X[1]) @ Y * W[1]) ** 2), rel=1e-12)
 
     def test_personalized_without_users_falls_back_to_shared_metric(self):
         rng = np.random.default_rng(16)
@@ -382,7 +428,7 @@ class TestModelDistances:
                    user_ids=["u0"], user_weights=rng.uniform(0, 2, (1, 2)))
         X = rng.standard_normal((5, 4))
         d = model_distances(m, X, np.array([0]), np.array([1]))
-        assert d[0] == dist_lowrank(Y, X[0], X[1])
+        assert d[0] == _alone(_model("low_rank", Y), X[0], X[1])
 
     @pytest.mark.parametrize("kind, with_users", [("low_rank", False),
                                                   ("weighted_nn", False),
@@ -407,9 +453,9 @@ class TestModelDistances:
         dirty[touched] = X[touched]
         projected = []
 
-        def counting_project_rows(rows, Y):
+        def counting_project_rows(X, Y, rows=None, norm="none"):
             projected.append(len(rows))
-            return project_rows(rows, Y)
+            return project_rows(X, Y, rows, norm)
 
         monkeypatch.setattr("stylemetric.metric.project_rows", counting_project_rows)
         want = model_distances(m, X, i, j, users)
@@ -418,26 +464,16 @@ class TestModelDistances:
         assert np.array_equal(got, want)
         assert projected == ([] if kind == "weighted_nn" else [len(touched)] * 2)
 
-    def test_pairs_over_every_row_project_x_itself(self, monkeypatch):
-        """When the pairs touch every row, X is projected as it is, without a
-        gathered copy, and the distances are those of each pair alone; pairs
-        that leave a row out or point past X still gather."""
+    def test_pairs_over_every_row_give_each_pair_its_distance_alone(self):
+        """Pairs that touch every row get the bits each pair gets alone, and
+        pairs that point before or past X raise rather than wrap."""
         rng = np.random.default_rng(18)
         X = rng.standard_normal((5, 4))
         m = _model("low_rank", rng.standard_normal((4, 3)), 1.0)
-        projected = []
-
-        def recording_project_rows(rows, Y):
-            projected.append(rows)
-            return project_rows(rows, Y)
-
-        monkeypatch.setattr("stylemetric.metric.project_rows", recording_project_rows)
         i, j = np.array([4, 0, 2]), np.array([1, 3, 4])
         d = model_distances(m, X, i, j)
-        assert projected[-1] is X
-        assert [float(v) for v in d] == [dist_lowrank(m.transform, X[a], X[b])
-                                         for a, b in zip(i, j)]
-        model_distances(m, X, np.array([0, 1]), np.array([2, 3]))
-        assert projected[-1] is not X
+        assert [float(v) for v in d] == [_alone(m, X[a], X[b]) for a, b in zip(i, j)]
         with pytest.raises(IndexError):
             model_distances(m, X, np.array([0, 1, 2, 3]), np.array([1, 2, 3, 5]))
+        with pytest.raises(IndexError):
+            model_distances(m, X, np.array([-1]), np.array([0]))

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stylemetric import recommend
+from stylemetric import metric
 from stylemetric.catalog import DataError, FeatureMatrix, MetricModel, normalize_rows
-from stylemetric.metric import dist_lowrank, link_probability
+from stylemetric.evaluation import evaluate
+from stylemetric.metric import link_probability, model_distances
 from stylemetric.recommend import (build_outfit, makeover_delta, outfit_coherence,
                                    rank_candidates)
+from stylemetric.sampling import LabeledPairSet
+from stylemetric.stylespace import embed_all
 
 
 def _world(seed=0, n=20, f=4, k=2, c=2.0):
@@ -37,8 +40,7 @@ def test_rank_candidates_orders_by_distance():
     # probabilities are the sigmoid of threshold minus distance
     for item, d, p in ranked:
         q = feats.index_of("i000")
-        want = dist_lowrank(model.transform, feats.values[q],
-                            feats.values[feats.index_of(item)])
+        want = model_distances(model, feats.values, [q], [feats.index_of(item)])[0]
         assert d == pytest.approx(want, rel=1e-12)
         assert p == pytest.approx(float(link_probability(d, model.threshold)),
                                   rel=1e-12)
@@ -116,6 +118,15 @@ def test_l2_unit_model_matches_normalizing_the_whole_catalog(kind):
     outfit = ["i007", "i005", "i150", "i033", "i099"]
     assert (outfit_coherence(l2, feats, outfit).mean_pair_loglik
             == outfit_coherence(raw, unit, outfit).mean_pair_loglik)
+    pairs = [(2 * z, 2 * z + 1) for z in range(50)] + [(2 * z, 2 * z + 3) for z in range(50)]
+    users = {"user_ids": ["u0"], "users": [0] * 100} if kind == "personalized" else {}
+    ps = LabeledPairSet(feats.item_ids, pairs, [True] * 50 + [False] * 50, "test", **users)
+    assert evaluate(l2, feats, ps) == evaluate(raw, unit, ps)
+    i, j = ps.pairs.T
+    assert np.array_equal(model_distances(l2, X, i, j, ps.users),
+                          model_distances(raw, unit.values, i, j, ps.users))
+    if kind != "weighted_nn":
+        assert np.array_equal(embed_all(l2, feats).vectors, embed_all(raw, unit).vectors)
 
 
 def test_build_outfit_picks_nearest_per_slot():
@@ -269,12 +280,12 @@ def test_a_query_projects_only_the_rows_not_yet_projected(monkeypatch):
     transform or normalization starts over."""
     projected = []
 
-    def counting(X, Y):
-        projected.append(len(X))
-        return project_rows(X, Y)
+    def counting(X, Y, rows=None, norm="none"):
+        projected.append(len(rows))
+        return project_rows(X, Y, rows, norm)
 
-    project_rows = recommend.project_rows
-    monkeypatch.setattr(recommend, "project_rows", counting)
+    project_rows = metric.project_rows
+    monkeypatch.setattr(metric, "project_rows", counting)
     feats, model = _world(seed=12)
     rank_candidates(model, feats, "i000", ["i001", "i002", "i001"])
     assert projected == [3]

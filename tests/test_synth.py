@@ -40,7 +40,7 @@ def test_edge_count_is_exact():
         cfg = SynthConfig(n_items=150, n_features=8, true_rank=2,
                           n_edges=700, noise=0.0, mode=mode, seed=0)
         res = generate(cfg)
-        assert res.graph.n_edges == 700
+        assert len(res.graph.pairs) == 700
 
 
 def test_noiseless_labels_match_ground_truth_exactly():
@@ -72,7 +72,7 @@ def test_noise_swaps_are_accounted_for():
     cfg = SynthConfig(n_items=300, n_features=8, true_rank=2,
                       n_edges=2000, noise=0.2, mode="axis_aligned", seed=4)
     res = generate(cfg)
-    assert res.graph.n_edges == 2000
+    assert len(res.graph.pairs) == 2000
     flips = res.info["flip_count"]
     # Binomial(2000, 0.2): mean 400, sd ~17.9; allow 4 sigma
     assert abs(flips - 400) < 72
@@ -140,7 +140,7 @@ def test_explicit_threshold_respected_when_feasible():
     res2 = generate(loose)
     assert res2.info["c_star_source"] == "explicit"
     assert res2.threshold == res.threshold * 4.0
-    assert res2.graph.n_edges == 300
+    assert len(res2.graph.pairs) == 300
 
 
 def test_too_tight_explicit_threshold_is_adjusted():
@@ -149,7 +149,7 @@ def test_too_tight_explicit_threshold_is_adjusted():
                       c_star=1e-12)
     res = generate(cfg)
     assert res.info["c_star_source"] == "adjusted_up_to_edge_count"
-    assert res.graph.n_edges == 300
+    assert len(res.graph.pairs) == 300
 
 
 def test_generation_is_deterministic():

@@ -598,9 +598,9 @@ def test_head_rejection_projects_only_the_head_rows(kind, monkeypatch):
     projected = []
     project_rows = training.project_rows
 
-    def counted(X, Y):
-        projected.append(len(X))
-        return project_rows(X, Y)
+    def counted(X, Y, rows=None, norm="none"):
+        projected.append(len(X) if rows is None else len(rows))
+        return project_rows(X, Y, rows, norm)
 
     monkeypatch.setattr(training, "project_rows", counted)
     assert obj.value(x0, -1.0) is None  # f >= 0, so no point meets this bound
