@@ -51,9 +51,7 @@ def project_rows(X: np.ndarray, Y: np.ndarray, rows=None, norm: str = "none") ->
     if F != Y.shape[0]:
         raise DataError(f"feature dimension {F} does not match transform {Y.shape[0]}")
     if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        if len(rows) and (rows.min() < 0 or rows.max() >= len(X)):
-            raise IndexError(f"row index out of range for {len(X)} rows")
+        rows = _checked_rows(rows, len(X))
     n = len(X) if rows is None else len(rows)
     K = Y.shape[1]
     B = _PROJECT_BLOCK
@@ -82,6 +80,15 @@ def project_rows(X: np.ndarray, Y: np.ndarray, rows=None, norm: str = "none") ->
     return out
 
 
+def _checked_rows(rows, n):
+    """rows as an int64 array, each in [0, n): IndexError rather than a
+    negative index wrapping to the end."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) and (rows.min() < 0 or rows.max() >= n):
+        raise IndexError(f"row index out of range for {n} rows")
+    return rows
+
+
 def _rowwise_sqnorm(V: np.ndarray) -> np.ndarray:
     # einsum contracts each row in index order, independent of how many rows
     # the call sees, so blocked and unblocked calls agree exactly.
@@ -101,7 +108,7 @@ def style_rows(model: MetricModel, X: np.ndarray, rows) -> np.ndarray:
             f"feature dimension {X.shape[1]} does not match model ({model.n_features})"
         )
     if model.kind == "weighted_nn":
-        return normalize_rows(X.take(rows, axis=0), model.feature_norm)
+        return normalize_rows(X.take(_checked_rows(rows, len(X)), axis=0), model.feature_norm)
     return project_rows(X, model.transform, rows, model.feature_norm)
 
 

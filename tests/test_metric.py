@@ -399,6 +399,8 @@ class TestModelDistances:
         assert d[0] == _alone(m, X[0], X[2])
         assert d[1] == _alone(m, X[1], X[3])
         assert d[0] == pytest.approx(brute_weighted(w, X[0], X[2]), rel=1e-12)
+        with pytest.raises(IndexError):
+            model_distances(m, X, np.array([-1]), np.array([0]))
 
     def test_low_rank_kind(self):
         rng = np.random.default_rng(14)
