@@ -102,7 +102,8 @@ def normalize_rows(values: np.ndarray, kind: str) -> np.ndarray:
 
 @dataclass
 class FeatureMatrix:
-    """Dense per-item feature vectors, one row per item id."""
+    """Dense per-item vectors, one row per item id: the catalog's features,
+    or the style vectors s_i = x_i Y that stylespace.embed_all projects."""
 
     item_ids: list[str]
     values: np.ndarray  # (N, F) float64
@@ -110,18 +111,18 @@ class FeatureMatrix:
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
-            raise DataError("feature values must be a 2-d array")
+            raise DataError("item values must be a 2-d array")
         if len(self.item_ids) != self.values.shape[0]:
             raise DataError(
-                f"{len(self.item_ids)} item ids but {self.values.shape[0]} feature rows"
+                f"{len(self.item_ids)} item ids but {self.values.shape[0]} value rows"
             )
         self._index = {item: i for i, item in enumerate(self.item_ids)}
         if len(self._index) != len(self.item_ids):
-            raise DataError("duplicate item id in feature matrix")
+            raise DataError("duplicate item id in item table")
         step = max(1, _FINITE_CHECK_BYTES // max(1, self.values.shape[1]))
         for lo in range(0, len(self.values), step):
             if not np.isfinite(self.values[lo:lo + step]).all():
-                raise DataError("non-finite feature value")
+                raise DataError("non-finite value")
         # The style rows metric.style_rows has given recommend's queries so
         # far, with the transform, values and normalization they belong to
         # (see recommend._style_rows); not part of equality.

@@ -1,11 +1,13 @@
 """Style-space tooling: batch embedding, k-means, representatives, navigation.
 
-The embedding matrix is produced by the same row-by-row projection used by
-the distance functions, so squared Euclidean distances between its rows equal
-the low-rank metric exactly. The navigation graph's kNN edges come from the
-exact difference kernel as well: a matrix product only shortlists each row's
-candidates, and every edge weight and neighbor order is decided on the
-differences of embedding rows.
+The embedding is a FeatureMatrix of style vectors s_i = x_i Y: the same item
+table the model reads, with style coordinates as its values. It is produced by
+project_rows' fixed 128-row blocks, the projection the distance functions use,
+so squared Euclidean distances between its rows equal the low-rank metric
+exactly. The navigation graph's kNN edges come from the exact difference
+kernel as well: a matrix product only shortlists each row's candidates, and
+every edge weight and neighbor order is decided on the differences of
+embedding rows.
 """
 
 import heapq
@@ -23,32 +25,6 @@ _KNN_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
-class StyleEmbedding:
-    """Per-item style vectors s_i = x_i Y, one row per item."""
-
-    item_ids: list
-    vectors: np.ndarray  # (N, K) float64
-
-    def __post_init__(self):
-        self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2 or len(self.item_ids) != self.vectors.shape[0]:
-            raise DataError("embedding requires one vector row per item id")
-        if not np.all(np.isfinite(self.vectors)):
-            raise DataError("non-finite style vector")
-        self._index = {item: i for i, item in enumerate(self.item_ids)}
-
-    @property
-    def n_items(self) -> int:
-        return self.vectors.shape[0]
-
-    def index_of(self, item_id: str) -> int:
-        try:
-            return self._index[item_id]
-        except KeyError:
-            raise DataError(f"unknown item id: {item_id!r}") from None
-
-
-@dataclass
 class Clustering:
     k: int
     centroids: np.ndarray  # (k, K)
@@ -57,12 +33,12 @@ class Clustering:
     objective_trace: list = field(default_factory=list)
 
 
-def embed_all(model: MetricModel, features: FeatureMatrix) -> StyleEmbedding:
+def embed_all(model: MetricModel, features: FeatureMatrix) -> FeatureMatrix:
     """Project every item into style space under a low-rank model."""
     if model.kind == "weighted_nn":
         raise DataError("weighted_nn models have no style-space transform")
-    return StyleEmbedding(features.item_ids, project_rows(features.values, model.transform,
-                                                         norm=model.feature_norm))
+    return FeatureMatrix(features.item_ids, project_rows(features.values, model.transform,
+                                                        norm=model.feature_norm))
 
 
 def _nearest(S, centroids):
@@ -95,12 +71,8 @@ def _seed_centroids(S, k, rng, seeding):
     while len(chosen) < k:
         total = float(np.sum(best))
         if total <= 0.0:
-            for idx in range(n):
-                if idx not in chosen:
-                    chosen.append(idx)
-                    break
-            else:
-                raise DataError("fewer distinct points than clusters")
+            # Every point sits on a chosen seed; k <= n leaves one unchosen.
+            chosen.append(next(idx for idx in range(n) if idx not in chosen))
         else:
             pick = int(rng.choice(n, p=best / total))
             chosen.append(pick)
@@ -108,16 +80,18 @@ def _seed_centroids(S, k, rng, seeding):
     return S[chosen].copy()
 
 
-def kmeans(emb: StyleEmbedding, k: int, seed: int, max_iter: int = 100,
+def kmeans(emb: FeatureMatrix, k: int, seed: int, max_iter: int = 100,
            seeding: str = "weighted") -> Clustering:
     """Lloyd's algorithm over style vectors.
 
     Terminates when the assignment stops changing or after max_iter rounds.
-    Empty clusters are repaired by moving in the point currently farthest
-    from its centroid, which cannot increase the objective. The recorded
-    objective trace is non-increasing.
+    An empty cluster is repaired by moving in the point farthest from its
+    centroid among the clusters that keep another member, which cannot
+    increase the objective. Since k <= n, such a point always exists, so
+    repeated vectors (even fewer distinct vectors than k) leave no cluster
+    empty. The recorded objective trace is non-increasing.
     """
-    S = emb.vectors
+    S = emb.values
     n = emb.n_items
     if k < 1:
         raise DataError("k must be >= 1")
@@ -129,19 +103,18 @@ def kmeans(emb: StyleEmbedding, k: int, seed: int, max_iter: int = 100,
     trace = []
     for _ in range(max(1, max_iter)):
         new_assign, dist = _nearest(S, centroids)
-        moved = np.zeros(n, dtype=bool)
-        for cluster in range(k):
-            if np.any(new_assign == cluster):
-                continue
-            # Empty cluster: seize the point farthest from its centroid. Its
-            # distance drops to zero and no other term changes, so the
-            # objective cannot increase.
-            avail = ~moved
-            pool = np.flatnonzero(avail & (dist == dist[avail].max()))
-            far = int(pool[0])
+        sizes = np.bincount(new_assign, minlength=k)
+        for cluster in np.flatnonzero(sizes == 0):
+            # Empty cluster: seize the farthest point whose cluster keeps
+            # another member. Its distance drops to zero and no other term
+            # changes, so the objective cannot increase; a point moved here
+            # is now alone, so it stays put.
+            avail = sizes[new_assign] > 1
+            far = int(np.flatnonzero(avail & (dist == dist[avail].max()))[0])
+            sizes[new_assign[far]] -= 1
+            sizes[cluster] = 1
             new_assign[far] = cluster
             dist[far] = 0.0
-            moved[far] = True
             centroids[cluster] = S[far]
         if np.array_equal(new_assign, assign):
             break
@@ -154,7 +127,7 @@ def kmeans(emb: StyleEmbedding, k: int, seed: int, max_iter: int = 100,
     return Clustering(k, centroids, assign, objective, trace)
 
 
-def representatives(clustering: Clustering, emb: StyleEmbedding, m: int) -> dict:
+def representatives(clustering: Clustering, emb: FeatureMatrix, m: int) -> dict:
     """Per cluster, the m member ids closest to the centroid.
 
     Ordered by ascending distance; ties break on item id.
@@ -164,7 +137,7 @@ def representatives(clustering: Clustering, emb: StyleEmbedding, m: int) -> dict
     out = {}
     for cluster in range(clustering.k):
         members = np.flatnonzero(clustering.assignment == cluster)
-        d = _rowwise_sqnorm(emb.vectors[members] - clustering.centroids[cluster])
+        d = _rowwise_sqnorm(emb.values[members] - clustering.centroids[cluster])
         ranked = sorted(zip(d, (emb.item_ids[i] for i in members)),
                         key=lambda pair: (pair[0], pair[1]))
         out[cluster] = [item for _, item in ranked[:m]]
@@ -236,7 +209,7 @@ def _knn_graph(S, knn_k):
     return adjacency
 
 
-def navigate(emb: StyleEmbedding, source: str, target: str, knn_k: int = 10):
+def navigate(emb: FeatureMatrix, source: str, target: str, knn_k: int = 10):
     """Minimum-cost path between two items on the symmetric kNN style graph.
 
     Edge weights are squared style distances; the search is Dijkstra with a
@@ -248,7 +221,7 @@ def navigate(emb: StyleEmbedding, source: str, target: str, knn_k: int = 10):
     if knn_k < 1:
         raise DataError("knn_k must be >= 1")
     src, dst = emb.index_of(source), emb.index_of(target)
-    adjacency = _knn_graph(emb.vectors, knn_k)
+    adjacency = _knn_graph(emb.values, knn_k)
     dist = np.full(emb.n_items, np.inf)
     prev = np.full(emb.n_items, -1, dtype=np.int64)
     dist[src] = 0.0
@@ -280,15 +253,15 @@ def navigate(emb: StyleEmbedding, source: str, target: str, knn_k: int = 10):
     return [emb.item_ids[i] for i in path_idx], float(dist[dst]), hops
 
 
-def save_embedding(emb: StyleEmbedding, path):
-    write_matrix(path, "style", emb.item_ids, emb.vectors)
+def save_embedding(emb: FeatureMatrix, path):
+    write_matrix(path, "style", emb.item_ids, emb.values)
 
 
-def load_embedding(path) -> StyleEmbedding:
-    return StyleEmbedding(*read_matrix(path, "style"))
+def load_embedding(path) -> FeatureMatrix:
+    return FeatureMatrix(*read_matrix(path, "style"))
 
 
-def save_clustering(clustering: Clustering, emb: StyleEmbedding, path):
+def save_clustering(clustering: Clustering, emb: FeatureMatrix, path):
     with atomic_writer(path) as f:
         for item, cluster in zip(emb.item_ids, clustering.assignment):
             f.write(f"{item}\t{int(cluster)}\n")

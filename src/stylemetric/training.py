@@ -145,14 +145,8 @@ class _Objective:
         self.F = X.shape[1]
         self.K = self.F if kind == "weighted_nn" else rank
         self.l2_penalty = l2_penalty
-        if kind == "personalized":
-            if users is None:
-                raise DataError("personalized objective requires user indices")
-            self.n_params = self.F * self.K + 1 + n_users * self.K
-        elif kind == "low_rank":
-            self.n_params = self.F * self.K + 1
-        else:
-            self.n_params = self.F + 1
+        if kind == "personalized" and users is None:
+            raise DataError("personalized objective requires user indices")
         head = slice(0, _PROBE)
         self._probe = (head, *touched_rows(i_idx[head], j_idx[head]))
 

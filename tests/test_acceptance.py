@@ -22,7 +22,7 @@ from stylemetric.recommend import makeover_delta, outfit_coherence
 from stylemetric.sampling import (TRAIN_POSITIVE_CAP, LabeledPairSet,
                                   build_user_dataset, graph_to_pairs,
                                   sample_negatives, split)
-from stylemetric.stylespace import StyleEmbedding, kmeans, navigate
+from stylemetric.stylespace import kmeans, navigate
 from stylemetric.synthetic import SynthConfig, generate
 from stylemetric.training import TrainConfig, gradient, log_likelihood, train, \
     train_personalized
@@ -288,8 +288,8 @@ def test_criterion_07_kmeans_invariants():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(10, 60))
         k = int(rng.integers(1, min(8, n) + 1))
-        emb = StyleEmbedding([f"i{z:03d}" for z in range(n)],
-                             rng.standard_normal((n, 3)))
+        emb = FeatureMatrix([f"i{z:03d}" for z in range(n)],
+                            rng.standard_normal((n, 3)))
         clustering = kmeans(emb, k, seed=seed)
         trace = np.array(clustering.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12), seed
@@ -298,14 +298,14 @@ def test_criterion_07_kmeans_invariants():
     rng = np.random.default_rng(70)
     a = rng.standard_normal((20, 2)) * 0.05
     b = rng.standard_normal((20, 2)) * 0.05 + 8.0
-    emb = StyleEmbedding([f"i{z}" for z in range(40)], np.vstack([a, b]))
+    emb = FeatureMatrix([f"i{z}" for z in range(40)], np.vstack([a, b]))
     blob = kmeans(emb, 2, seed=0)
     assert len(set(blob.assignment[:20].tolist())) == 1
     assert len(set(blob.assignment[20:].tolist())) == 1
     assert blob.assignment[0] != blob.assignment[-1]
 
-    small = StyleEmbedding([f"i{z}" for z in range(15)],
-                           rng.standard_normal((15, 2)))
+    small = FeatureMatrix([f"i{z}" for z in range(15)],
+                          rng.standard_normal((15, 2)))
     degenerate = kmeans(small, 15, seed=1)
     assert degenerate.objective == 0.0
     _report("07 k-means invariants",
@@ -333,9 +333,9 @@ def test_criterion_08_navigation_exact():
     agreements = 0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
-        emb = StyleEmbedding([f"i{z}" for z in range(10)],
-                             rng.standard_normal((10, 2)))
-        adjacency = _knn_graph(emb.vectors, 3)
+        emb = FeatureMatrix([f"i{z}" for z in range(10)],
+                            rng.standard_normal((10, 2)))
+        adjacency = _knn_graph(emb.values, 3)
         want = _exhaustive_cost(adjacency, 0, 9, 10)
         if np.isfinite(want):
             _, cost, _ = navigate(emb, "i0", "i9", knn_k=3)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from stylemetric import cli
-from stylemetric.catalog import (FeatureMatrix, MetricModel, load_features, load_model,
-                                 save_features, save_model)
+from stylemetric.catalog import (DataError, FeatureMatrix, MetricModel, load_features,
+                                 load_model, save_features, save_model)
 from stylemetric.recommend import rank_candidates
 
 
@@ -219,6 +219,23 @@ def test_style_space_commands(pipeline, capsys):
     out = capsys.readouterr().out
     assert "i000" in out and "i064" in out
     assert (nav / "path.tsv").exists()
+
+
+def test_cluster_with_fewer_distinct_style_vectors_than_k(tmp_path):
+    """Ten items on five distinct points and k = 10: every cluster keeps a
+    member, under both seedings."""
+    features, model = tmp_path / "f.tsv", tmp_path / "m.bin"
+    save_features(FeatureMatrix([f"i{z}" for z in range(10)],
+                                np.repeat(np.arange(10.0).reshape(5, 2), 2, axis=0)), features)
+    save_model(MetricModel("low_rank", np.eye(2), 1.0), model)
+    for seed in range(6):
+        for seeding in ("weighted", "random"):
+            out = tmp_path / f"clu{seed}{seeding}"
+            assert run("cluster", "--features", features, "--model", model, "--k", 10,
+                       "--seed", seed, "--seeding", seeding, "--out", out) == 0
+            lines = (out / "clustering.tsv").read_text().splitlines()
+            assert sorted(int(line.split("\t")[1]) for line in lines[:10]) == list(range(10))
+            assert lines[-1] == "#objective\t0.0"
 
 
 def test_recommend_and_outfit_commands(pipeline, tmp_path, capsys):
@@ -440,7 +457,8 @@ class TestExitCodes:
 
     def test_overflowing_style_coordinates_are_exit_2(self, tmp_path, capsys):
         """Style coordinates past the float range give non-finite distances,
-        which every query command refuses instead of printing nan."""
+        which every query command refuses instead of printing nan, and a
+        non-finite style table, which embed, cluster and navigate refuse."""
         features, model = tmp_path / "f.tsv", tmp_path / "m.bin"
         save_features(FeatureMatrix(["q", "a", "b", "c"],
                                     np.array([[1e200], [1e200], [-1e200], [0.0]])), features)
@@ -449,12 +467,48 @@ class TestExitCodes:
         cands.write_text("a\nb\nc\n")
         given = ("--features", features, "--model", model)
         with np.errstate(over="ignore", invalid="ignore"):
-            for argv in (("recommend", *given, "--query", "q", "--category-file", cands),
-                         ("build-outfit", *given, "--query", "q", "--category-files", cands),
-                         ("score-outfit", *given, "--items", "q,a,b,c")):
+            for argv, message in (
+                    (("recommend", *given, "--query", "q", "--category-file", cands),
+                     "non-finite distance"),
+                    (("build-outfit", *given, "--query", "q", "--category-files", cands),
+                     "non-finite distance"),
+                    (("score-outfit", *given, "--items", "q,a,b,c"), "non-finite distance"),
+                    (("embed", *given, "--out", tmp_path / "e"), "non-finite value"),
+                    (("cluster", *given, "--k", 2, "--out", tmp_path / "c"), "non-finite value"),
+                    (("navigate", *given, "--source", "c", "--target", "q",
+                      "--out", tmp_path / "n"), "non-finite value")):
                 capsys.readouterr()
                 assert run(*argv) == 2
-                assert "non-finite distance" in capsys.readouterr().err
+                assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, old, new, message", [
+        *[(MetricModel("personalized", np.array([[1.25, 0.0], [0.0, 1.0]]), 0.75, ["u1"],
+                       np.array([[1.0, 0.5]])),
+           struct.pack("<d", good), struct.pack("<d", bad), message)
+          for good, message in ((1.25, "non-finite model parameter"),
+                                (0.75, "non-finite threshold"),
+                                (0.5, "non-finite user weight"))
+          for bad in (np.nan, np.inf, -np.inf)],
+        (MetricModel("weighted_nn", np.ones(2), 1.0), struct.pack("<QQ", 2, 2),
+         struct.pack("<QQ", 2, 3), "weighted_nn requires K == F")])
+    def test_model_file_with_a_value_its_checks_refuse_is_exit_2(self, tmp_path, capsys,
+                                                                 model, old, new, message):
+        """save_model's bytes with one field patched: NaN or inf in the
+        transform (1.25), the threshold (0.75) or a user weight (0.5), or a
+        weighted_nn header whose K is not F. Model files carry no checksum,
+        so these value checks are what refuse them."""
+        features, pairs, path = tmp_path / "f.tsv", tmp_path / "p.tsv", tmp_path / "m.bin"
+        save_features(FeatureMatrix(["a", "b", "c"], np.eye(3)[:, :2]), features)
+        pairs.write_text("#partition test\na\tb\trelated\tu1\na\tc\tunrelated\tu1\n")
+        save_model(model, path)
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+        capsys.readouterr()
+        assert run("eval", "--features", features, "--pairs", pairs, "--model", path) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_item_is_exit_2(self, pipeline, tmp_path):
         data, splits = pipeline / "data", pipeline / "splits"

@@ -13,7 +13,7 @@ from stylemetric.catalog import (RELATION_CLASSES, DataError, FeatureMatrix,
                                  save_edges, save_features, save_model,
                                  save_triples)
 from stylemetric.sampling import LabeledPairSet, load_pairs, save_pairs
-from stylemetric.stylespace import StyleEmbedding, load_embedding, save_embedding
+from stylemetric.stylespace import load_embedding, save_embedding
 
 IDS = ["a", "b", "c", "d"]
 FEATURES = FeatureMatrix(IDS, np.arange(12.0).reshape(4, 3) / 7)
@@ -34,7 +34,7 @@ FORMATS = {
                                                   [True, True, False, False], "train",
                                                   ["u1", "u2"], [0, 1, 1, 0]), p),
               lambda p: load_pairs(p, FEATURES)),
-    "embedding": (lambda p: save_embedding(StyleEmbedding(IDS[:3], np.eye(3)[:, :2] - 0.5), p),
+    "embedding": (lambda p: save_embedding(FeatureMatrix(IDS[:3], np.eye(3)[:, :2] - 0.5), p),
                   load_embedding),
     "model": (lambda p: save_model(MetricModel("personalized", np.arange(6.0).reshape(3, 2),
                                                0.5, ["u1", "u2"], np.ones((2, 2)),

@@ -83,7 +83,7 @@ def test_lowrank_equals_embedded_euclidean_exactly():
         model = MetricModel("low_rank", rng.standard_normal((f, k)), 1.0,
                             metadata={"feature_norm": norm})
         feats = FeatureMatrix([f"i{z}" for z in range(n)], rng.standard_normal((n, f)))
-        S = embed_all(model, feats).vectors
+        S = embed_all(model, feats).values
         i, j = np.triu_indices(n, 1)
         direct = np.einsum("ij,ij->i", S[i] - S[j], S[i] - S[j])
         assert np.array_equal(model_distances(model, feats.values, i, j), direct)

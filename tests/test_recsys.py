@@ -126,7 +126,7 @@ def test_l2_unit_model_matches_normalizing_the_whole_catalog(kind):
     assert np.array_equal(model_distances(l2, X, i, j, ps.users),
                           model_distances(raw, unit.values, i, j, ps.users))
     if kind != "weighted_nn":
-        assert np.array_equal(embed_all(l2, feats).vectors, embed_all(raw, unit).vectors)
+        assert np.array_equal(embed_all(l2, feats).values, embed_all(raw, unit).values)
 
 
 def test_build_outfit_picks_nearest_per_slot():

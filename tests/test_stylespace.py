@@ -14,15 +14,14 @@ from hypothesis import strategies as st
 from stylemetric import stylespace
 from stylemetric.catalog import DataError, FeatureMatrix, MetricModel
 from stylemetric.metric import _rowwise_sqnorm, project_rows
-from stylemetric.stylespace import (StyleEmbedding, _knn_graph, embed_all,
-                                    kmeans, load_embedding, navigate,
-                                    representatives, save_embedding)
+from stylemetric.stylespace import (_knn_graph, embed_all, kmeans, load_embedding,
+                                    navigate, representatives, save_embedding)
 
 
 def _embedding(seed=0, n=20, k=3, scale=1.0):
     rng = np.random.default_rng(seed)
-    return StyleEmbedding([f"i{z:03d}" for z in range(n)],
-                          rng.standard_normal((n, k)) * scale)
+    return FeatureMatrix([f"i{z:03d}" for z in range(n)],
+                         rng.standard_normal((n, k)) * scale)
 
 
 def test_embed_all_is_the_projection():
@@ -32,7 +31,7 @@ def test_embed_all_is_the_projection():
     Y = rng.standard_normal((6, 2))
     model = MetricModel("low_rank", Y, 1.0, metadata={"feature_norm": "none"})
     emb = embed_all(model, feats)
-    assert np.array_equal(emb.vectors, project_rows(X, Y))
+    assert np.array_equal(emb.values, project_rows(X, Y))
     assert emb.item_ids == feats.item_ids
 
 
@@ -49,7 +48,7 @@ def test_embedding_roundtrip(tmp_path):
     save_embedding(emb, p)
     back = load_embedding(p)
     assert back.item_ids == emb.item_ids
-    assert np.array_equal(back.vectors, emb.vectors)
+    assert np.array_equal(back.values, emb.values)
 
 
 @pytest.mark.parametrize("text, where", [
@@ -69,7 +68,7 @@ class TestKMeans:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((15, 2)) * 0.05
         b = rng.standard_normal((15, 2)) * 0.05 + np.array([10.0, 10.0])
-        emb = StyleEmbedding([f"i{z}" for z in range(30)], np.vstack([a, b]))
+        emb = FeatureMatrix([f"i{z}" for z in range(30)], np.vstack([a, b]))
         clustering = kmeans(emb, 2, seed=0)
         first = clustering.assignment[:15]
         second = clustering.assignment[15:]
@@ -93,7 +92,7 @@ class TestKMeans:
     def test_final_objective_is_recomputable(self):
         emb = _embedding(seed=5, n=50, k=3)
         clustering = kmeans(emb, 6, seed=1)
-        diffs = emb.vectors - clustering.centroids[clustering.assignment]
+        diffs = emb.values - clustering.centroids[clustering.assignment]
         want = float(np.sum(np.einsum("ij,ij->i", diffs, diffs)))
         assert clustering.objective == want
 
@@ -108,9 +107,29 @@ class TestKMeans:
     def test_duplicate_points_do_not_break_clustering(self):
         # more clusters than distinct locations forces empty-cluster repair
         vecs = np.array([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 5 + [[2.0, 2.0]] * 5)
-        emb = StyleEmbedding([f"i{z}" for z in range(15)], vecs)
+        emb = FeatureMatrix([f"i{z}" for z in range(15)], vecs)
         clustering = kmeans(emb, 3, seed=0)
         assert clustering.objective == 0.0
+
+    @given(data=st.data(), seeding=st.sampled_from(("weighted", "random")))
+    def test_repeated_vectors_leave_no_cluster_empty(self, data, seeding):
+        """Integer-grid vectors with repeats, fewer or more distinct ones than
+        k: an empty cluster is refilled only from a cluster that keeps another
+        member, so no centroid is the mean of nothing."""
+        n = data.draw(st.integers(1, 40))
+        dim = data.draw(st.integers(1, 3))
+        grid = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                                  min_size=1, max_size=n))
+        rows = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=n, max_size=n))
+        k = data.draw(st.integers(1, n))
+        emb = FeatureMatrix([f"i{z}" for z in range(n)], np.array(grid, dtype=float)[rows])
+        clustering = kmeans(emb, k, seed=data.draw(st.integers(0, 2**32 - 1)),
+                            seeding=seeding)
+        assert np.isfinite(clustering.centroids).all()
+        assert np.bincount(clustering.assignment, minlength=k).min() >= 1
+        assert np.all(np.diff(clustering.objective_trace) <= 1e-12)
+        diffs = emb.values - clustering.centroids[clustering.assignment]
+        assert clustering.objective == float(np.sum(_rowwise_sqnorm(diffs)))
 
     def test_random_seeding_mode(self):
         emb = _embedding(seed=8, n=25)
@@ -132,7 +151,7 @@ def test_representatives_sorted_by_distance_then_id():
     reps = representatives(clustering, emb, 4)
     for cluster, items in reps.items():
         assert len(items) <= 4
-        d = [float(np.sum((emb.vectors[emb.index_of(i)]
+        d = [float(np.sum((emb.values[emb.index_of(i)]
                            - clustering.centroids[cluster]) ** 2))
              for i in items]
         assert d == sorted(d)
@@ -155,7 +174,7 @@ def test_navigate_matches_exhaustive_search():
 
     for seed in range(100):
         emb = _embedding(seed=seed, n=10, k=2)
-        adjacency = _knn_graph(emb.vectors, 3)
+        adjacency = _knn_graph(emb.values, 3)
         src, dst = 0, 9
         want = _brute_force_shortest(adjacency, src, dst, 10)
         if not np.isfinite(want):
@@ -174,7 +193,7 @@ def test_navigate_on_a_chain():
     # colinear points: the cheapest route visits every intermediate stop,
     # because squared distances punish long hops quadratically
     vecs = np.array([[float(i), 0.0] for i in range(6)])
-    emb = StyleEmbedding([f"i{z}" for z in range(6)], vecs)
+    emb = FeatureMatrix([f"i{z}" for z in range(6)], vecs)
     items, cost, hops = navigate(emb, "i0", "i5", knn_k=2)
     assert items == ["i0", "i1", "i2", "i3", "i4", "i5"]
     assert cost == pytest.approx(5.0, rel=1e-12)
@@ -190,7 +209,7 @@ def test_navigate_disconnected_reports_knn_hint():
     # two far-apart cliques, k too small to bridge them
     near = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
     far = near + 1000.0
-    emb = StyleEmbedding([f"i{z}" for z in range(6)], np.vstack([near, far]))
+    emb = FeatureMatrix([f"i{z}" for z in range(6)], np.vstack([near, far]))
     with pytest.raises(DataError) as e:
         navigate(emb, "i0", "i5", knn_k=1)
     assert "knn_k" in str(e.value)
@@ -202,7 +221,7 @@ def test_navigate_isomorphism_under_orthogonal_rotation():
     rng = np.random.default_rng(12)
     emb = _embedding(seed=13, n=15, k=3)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    rotated = StyleEmbedding(emb.item_ids, emb.vectors @ q)
+    rotated = FeatureMatrix(emb.item_ids, emb.values @ q)
     a_items, a_cost, _ = navigate(emb, "i000", "i014", knn_k=4)
     b_items, b_cost, _ = navigate(rotated, "i000", "i014", knn_k=4)
     assert a_items == b_items
