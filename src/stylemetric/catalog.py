@@ -3,10 +3,11 @@
 Everything here is plain file IO plus validation. Item and user ids are opaque
 strings; they are mapped to dense integer indices at load time and all numeric
 code downstream works on indices. Loaded structures are immutable by convention
-and safe to share across threads. The convention is load-bearing: recommend
-caches projected style rows on a FeatureMatrix, keyed by the identity of its
-``values`` array and of the model's ``transform``, so an in-place write to
-either after a query is not seen. Assign a new array instead.
+and safe to share across threads. The convention is load-bearing:
+metric.model_distances keeps a style table on a FeatureMatrix, keyed by the
+identity of its ``values`` array and of the model's ``transform``, so an
+in-place write to either after a distance call is not seen. Assign a new
+array instead.
 
 Relation graphs and user triples are array tables: an id table, (m, 2)
 int64 index pairs into it, and a small class or user code column. They are
@@ -123,9 +124,9 @@ class FeatureMatrix:
         for lo in range(0, len(self.values), step):
             if not np.isfinite(self.values[lo:lo + step]).all():
                 raise DataError("non-finite value")
-        # The style rows metric.style_rows has given recommend's queries so
-        # far, with the transform, values and normalization they belong to
-        # (see recommend._style_rows); not part of equality.
+        # The style table metric.model_distances has filled so far, with the
+        # transform, values and normalization it belongs to (see
+        # metric._style_table); not part of equality.
         self._styles = None
 
     @property

@@ -60,7 +60,7 @@ def evaluate(model: MetricModel, features, pairs) -> EvalReport:
     """Confusion counts and accuracy of the d < c rule on a labeled pair set."""
     i_idx, j_idx, labels, users = _pair_arrays(pairs, features)
     users = _users_for_model(model, pairs, users)
-    d = model_distances(model, features.values, i_idx, j_idx, users)
+    d = model_distances(model, features, i_idx, j_idx, users)
     pred = d < model.threshold
     tp = int(np.sum(pred & labels))
     tn = int(np.sum(~pred & ~labels))

@@ -2,17 +2,17 @@
 
 Every command gets its style rows s = xY from one kernel, project_rows, which
 selects and normalizes rows of the catalog inside its own fixed-shape blocks,
-so no caller copies or normalizes all of X; style_rows picks the rows a
-model measures distances in, for every kind. Distances then come from one
-pair-difference kernel, pair_terms. Both rest on one invariant of
-project_rows: a row's bits do not depend on its block-mates or on its offset
-in a block. So a pair's distance is the same alone or in a batch, and equals
-``||s_i - s_j||^2`` over the rows embed_all writes, to the bit.
+so no caller copies or normalizes all of X. Distances come from one
+pair-difference kernel, pair_terms, and every distance under a model from
+model_distances. Both rest on one invariant of project_rows: a row's bits do
+not depend on its block-mates or on its offset in a block. So a pair's
+distance is the same alone or in a batch, and equals ``||s_i - s_j||^2``
+over the rows embed_all writes, to the bit.
 """
 
 import numpy as np
 
-from .catalog import DataError, MetricModel, normalize_rows
+from .catalog import DataError, FeatureMatrix, MetricModel, normalize_rows
 
 # Pairs are processed in fixed-size blocks to bound temporary memory. Each
 # pair's value is independent of every other pair, so the block size never
@@ -84,7 +84,8 @@ def _checked_rows(rows, n):
     """rows as an int64 array, each in [0, n): IndexError rather than a
     negative index wrapping to the end."""
     rows = np.asarray(rows, dtype=np.int64)
-    if len(rows) and (rows.min() < 0 or rows.max() >= n):
+    # Read as unsigned, a negative index exceeds every n, so one max checks both ends.
+    if len(rows) and rows.view(np.uint64).max() >= n:
         raise IndexError(f"row index out of range for {n} rows")
     return rows
 
@@ -93,23 +94,6 @@ def _rowwise_sqnorm(V: np.ndarray) -> np.ndarray:
     # einsum contracts each row in index order, independent of how many rows
     # the call sees, so blocked and unblocked calls agree exactly.
     return np.einsum("ij,ij->i", V, V)
-
-
-def style_rows(model: MetricModel, X: np.ndarray, rows) -> np.ndarray:
-    """The given rows of the raw feature array X in the space the model
-    measures distances in, in order.
-
-    The rows get the normalization the model was trained with. For the
-    low-rank kinds they are then projected, s = xY; weighted_nn has no
-    projection, so its rows are the normalized feature rows themselves.
-    """
-    if X.shape[1] != model.n_features:
-        raise DataError(
-            f"feature dimension {X.shape[1]} does not match model ({model.n_features})"
-        )
-    if model.kind == "weighted_nn":
-        return normalize_rows(X.take(_checked_rows(rows, len(X)), axis=0), model.feature_norm)
-    return project_rows(X, model.transform, rows, model.feature_norm)
 
 
 def sigmoid(t):
@@ -193,24 +177,66 @@ def pair_distances_style(S, i_idx, j_idx, w=None) -> np.ndarray:
     return out
 
 
-def model_distances(model: MetricModel, X: np.ndarray, i_idx, j_idx, user_idx=None) -> np.ndarray:
-    """Distances under a model for index pairs into a raw feature array.
+def _style_table(model: MetricModel, features: FeatureMatrix, rows) -> np.ndarray:
+    """The catalog's style table for the model, filled at least at rows.
 
-    X is the catalog as loaded; the model's normalization is applied to the
-    rows the pairs reference, and only those rows are read, each once. Since
-    a row's style coordinates do not depend on the rows handled with it, the
-    distances are bit-identical to those over the whole catalog. For
-    personalized models, user_idx selects the per-pair row of the user
-    weight table; omitting it falls back to the shared metric.
+    It is an (N, K) array of style rows (for weighted_nn, which has no
+    projection, of normalized feature rows), kept on the FeatureMatrix with a
+    mask of the rows filled so far, for one transform, values array and
+    normalization; a call normalizes and projects only its rows that are not
+    filled yet. Threads may share the table: a new one replaces the slot in
+    one assignment, each call works from its own reference, a row's mask bit
+    is set only after its values are written, and two threads that fill the
+    same row write the same bits.
     """
-    rows, i_idx, j_idx = touched_rows(np.asarray(i_idx, dtype=np.int64),
-                                      np.asarray(j_idx, dtype=np.int64))
-    S = style_rows(model, X, rows)
+    values = features.values
+    if values.shape[1] != model.n_features:
+        raise DataError(
+            f"feature dimension {values.shape[1]} does not match model ({model.n_features})"
+        )
+    rows = _checked_rows(rows, len(values))
+    table = features._styles
+    if (table is None or table[0] is not model.transform
+            or table[1] is not values or table[2] != model.feature_norm):
+        table = (model.transform, values, model.feature_norm,
+                 np.empty((len(values), model.rank)), np.zeros(len(values), dtype=bool))
+        features._styles = table
+    S, filled = table[3:]
+    missing = rows[~filled.take(rows)]
+    if len(missing):
+        missing = np.unique(missing)
+        if model.kind == "weighted_nn":
+            S[missing] = normalize_rows(values.take(missing, axis=0), model.feature_norm)
+        else:
+            S[missing] = project_rows(values, model.transform, missing, model.feature_norm)
+        filled[missing] = True
+    return S
+
+
+def model_distances(model: MetricModel, features: FeatureMatrix, i_idx, j_idx,
+                    user_idx=None) -> np.ndarray:
+    """Distances under a model for pairs (i, j) of row indices into a catalog.
+
+    Evaluation and every query get their distances here. The pairs index the
+    catalog's style table directly; since a row's style coordinates do not
+    depend on the rows projected with it, the distances are bit-identical to
+    those over the whole catalog. For personalized models, user_idx selects
+    the per-pair row of the user weight table; omitting it falls back to the
+    shared metric. A row or user index outside its table raises IndexError,
+    and a non-finite distance, from style coordinates that overflow, raises
+    DataError: no answer built on it would be right.
+    """
+    i_idx = np.asarray(i_idx, dtype=np.int64)
+    j_idx = np.asarray(j_idx, dtype=np.int64)
+    S = _style_table(model, features, np.concatenate([i_idx, j_idx]))
     w = None
     if model.kind == "weighted_nn":
         w = model.transform
     elif model.kind == "personalized" and user_idx is not None:
         if model.user_weights is None:
             raise DataError("model has no user weight table")
-        w = model.user_weights[np.asarray(user_idx, dtype=np.int64)]
-    return pair_distances_style(S, i_idx, j_idx, w)
+        w = model.user_weights.take(_checked_rows(user_idx, len(model.user_weights)), axis=0)
+    d = pair_distances_style(S, i_idx, j_idx, w)
+    if not np.isfinite(d).all():
+        raise DataError("non-finite distance: the items' style coordinates overflow")
+    return d

@@ -1,12 +1,10 @@
 """Recommendation, outfit assembly, and outfit-coherence scoring.
 
-Everything here reduces to distances from the shared metric kernels plus the
+Everything here reduces to distances from metric.model_distances plus the
 link probability, so rankings by probability and by ascending distance are
-the same ordering. Queries gather their items' style rows s = xY from a cache
-on the FeatureMatrix, filled through metric.style_rows: a row is normalized
-and projected once per catalog and transform, the first time a query needs
-it, and every later query reads the same bits, since a row's projection does
-not depend on the rows projected with it.
+the same ordering. A query's items are looked up in the catalog and their
+distances read from its style table: a row is normalized and projected once
+per catalog and transform, the first time any query or evaluation needs it.
 """
 
 from dataclasses import dataclass
@@ -14,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import DataError, FeatureMatrix, MetricModel
-from .metric import link_probability, log_link_probability, pair_distances_style, style_rows
+from .metric import link_probability, log_link_probability, model_distances
 
 
 @dataclass
@@ -24,48 +22,11 @@ class OutfitScore:
     pair_count: int
 
 
-def _style_rows(model: MetricModel, features: FeatureMatrix, items) -> np.ndarray:
-    """The items' rows in the space the model measures distances in, in order.
-
-    For the low-rank kinds these are style rows from the catalog's cache,
-    which holds one (N, K) array and a mask of the rows filled so far for one
-    transform, feature array and normalization; a query projects only the
-    rows it needs that are not filled yet. weighted_nn has no projection, so
-    its rows come from metric.style_rows directly. Threads may share the
-    cache: a new cache replaces the slot in one assignment, each query works
-    from its own reference, a row's mask bit is set only after its values
-    are written, and two threads that fill the same row write the same bits.
-    """
-    idx = features.indices_of(items)
-    values = features.values
-    if model.kind == "weighted_nn":
-        return style_rows(model, values, idx)
-    cache = features._styles
-    if (cache is None or cache[0] is not model.transform
-            or cache[1] is not values or cache[2] != model.feature_norm):
-        cache = (model.transform, values, model.feature_norm,
-                 np.empty((len(values), model.rank)), np.zeros(len(values), dtype=bool))
-        features._styles = cache
-    S, filled = cache[3:]
-    missing = np.unique(idx[~filled.take(idx)])
-    if len(missing):
-        S[missing] = style_rows(model, values, missing)
-        filled[missing] = True
-    return S.take(idx, axis=0)
-
-
 def _distances(model: MetricModel, features: FeatureMatrix, items,
                i_idx, j_idx) -> np.ndarray:
-    """Distances under the model between pairs (i, j) of positions in items.
-
-    A non-finite distance means the style coordinates overflowed, and no
-    answer built on it is right, so it raises DataError.
-    """
-    w = model.transform if model.kind == "weighted_nn" else None
-    d = pair_distances_style(_style_rows(model, features, items), i_idx, j_idx, w)
-    if not np.isfinite(d).all():
-        raise DataError("non-finite distance: the items' style coordinates overflow")
-    return d
+    """Distances under the model between pairs (i, j) of positions in items."""
+    idx = features.indices_of(items)
+    return model_distances(model, features, idx.take(i_idx), idx.take(j_idx))
 
 
 def _distances_to_query(model: MetricModel, features: FeatureMatrix,

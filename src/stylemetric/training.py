@@ -476,8 +476,9 @@ def _fit(config: TrainConfig, kind, features, pairs, warm_start, progress):
                      rank=config.rank, l2_penalty=config.l2_penalty)
     if warm_start is None:
         transform, c0 = _init_params(config, obj)
-    elif (warm_start.kind, warm_start.n_features, warm_start.rank) != (config.kind, obj.F, obj.K):
-        raise DataError("warm start does not match the configured kind/dimensions")
+    elif ((warm_start.kind, warm_start.n_features, warm_start.rank, warm_start.feature_norm)
+          != (config.kind, obj.F, obj.K, config.feature_norm)):
+        raise DataError("warm start does not match the configured kind/dimensions/feature norm")
     else:
         transform, c0 = warm_start.transform, warm_start.threshold
     x0 = obj.pack(transform, c0, np.ones((obj.n_users, obj.K)))
@@ -496,8 +497,9 @@ def train(config: TrainConfig, features, pairs, warm_start: MetricModel | None =
 
     Returns (MetricModel, TrainReport). warm_start, when given, supplies the
     starting point instead of the seeded random initialization; it must match
-    the configured kind and dimensions. progress, when given, receives one
-    ``iter\\tlog_likelihood\\ttrain_acc`` line per accepted iteration.
+    the configured kind, dimensions and feature normalization. progress, when
+    given, receives one ``iter\\tlog_likelihood\\ttrain_acc`` line per
+    accepted iteration.
     """
     return _fit(config, config.kind, features, pairs, warm_start, progress)
 
@@ -508,17 +510,20 @@ def train_personalized(config: TrainConfig, features, pairs: LabeledPairSet,
     """Fit (Y, c) and nonnegative per-user weights from a global warm start.
 
     pairs must be a user-annotated LabeledPairSet; the model's user table is
-    taken from it, and the rank from the low_rank warm start (config.kind and
-    config.rank are not used). User weights start at all-ones (the point
-    where the personalized distance equals the global one) and are clamped
-    to >= 0 after every optimizer step. freeze_user_weights pins them at
-    one, which reduces the fit to train from the warm start.
+    taken from it, and the rank and feature normalization from the low_rank
+    warm start, which is also the starting point (config.kind, config.rank,
+    config.feature_norm, config.init_scale and config.c0 are not used). User
+    weights start at all-ones (the point where the personalized distance
+    equals the global one) and are clamped to >= 0 after every optimizer
+    step. freeze_user_weights pins them at one, which reduces the fit to
+    train from the warm start.
     """
     if not isinstance(pairs, LabeledPairSet) or pairs.user_ids is None:
         raise DataError("personalized training requires user-annotated pairs")
     if warm_start.kind != "low_rank":
         raise DataError("warm start must be a low_rank model")
-    config = replace(config, kind="low_rank", rank=warm_start.rank)
+    config = replace(config, kind="low_rank", rank=warm_start.rank,
+                     feature_norm=warm_start.feature_norm)
     if not freeze_user_weights:
         return _fit(config, "personalized", features, pairs, warm_start, progress)
     model, report = train(config, features, pairs, warm_start, progress)

@@ -133,7 +133,7 @@ def test_criterion_02_low_rank_matches_full_metric():
         Y = rng.standard_normal((f, k))
         x_i, x_j = rng.standard_normal(f), rng.standard_normal(f)
         model = MetricModel("low_rank", Y, 1.0)
-        a = model_distances(model, np.vstack([x_i, x_j]), [0], [1])[0]
+        a = model_distances(model, FeatureMatrix(["i", "j"], np.vstack([x_i, x_j])), [0], [1])[0]
         delta = x_i - x_j
         b = float(delta @ (Y @ Y.T) @ delta)  # the full form, as the oracle
         worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
@@ -172,7 +172,7 @@ def test_criterion_03_threshold_semantics():
     ps = LabeledPairSet(feats.item_ids, pos + neg, [True] * 30 + [False] * 30, "test")
     rep = evaluate(model, feats, ps)
     labels = ps.labels
-    d = model_distances(model, feats.values, ps.pairs[:, 0], ps.pairs[:, 1])
+    d = model_distances(model, feats, ps.pairs[:, 0], ps.pairs[:, 1])
     assert d[0] == 1.0  # tie is exact
     pred = d < model.threshold
     assert rep.tp == int(np.sum(pred & labels))

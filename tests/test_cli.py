@@ -366,6 +366,16 @@ class TestExitCodes:
                             ("--config", cfg)):
             assert run_usage_error(*train_args, flag, value) == 1
 
+    def test_train_personalized_has_no_flags_its_warm_start_sets(self, tmp_path):
+        """The rank, normalization and starting point of a warm-started fit
+        come from its warm start, so their flags are usage errors (exit 1)."""
+        argv = ("train-personalized", "--features", tmp_path / "f.tsv",
+                "--pairs", tmp_path / "p.tsv", "--warm-start", tmp_path / "m.bin",
+                "--out", tmp_path / "o")
+        for flag, value in (("--rank", "3"), ("--feature-norm", "l2_unit"),
+                            ("--init-scale", "0.5"), ("--c0", "1.0")):
+            assert run_usage_error(*argv, flag, value) == 1
+
     def test_missing_file_is_exit_2(self, tmp_path, capsys):
         assert run("split", "--features", tmp_path / "nope.tsv",
                    "--pairs", tmp_path / "also-nope.tsv",
@@ -457,17 +467,20 @@ class TestExitCodes:
 
     def test_overflowing_style_coordinates_are_exit_2(self, tmp_path, capsys):
         """Style coordinates past the float range give non-finite distances,
-        which every query command refuses instead of printing nan, and a
-        non-finite style table, which embed, cluster and navigate refuse."""
+        which eval and every query command refuse instead of scoring or
+        printing nan, and a non-finite style table, which embed, cluster and
+        navigate refuse."""
         features, model = tmp_path / "f.tsv", tmp_path / "m.bin"
         save_features(FeatureMatrix(["q", "a", "b", "c"],
                                     np.array([[1e200], [1e200], [-1e200], [0.0]])), features)
         save_model(MetricModel("low_rank", np.array([[1e200]]), 1.0), model)
-        cands = tmp_path / "cands.txt"
+        cands, pairs = tmp_path / "cands.txt", tmp_path / "test.pairs"
         cands.write_text("a\nb\nc\n")
+        pairs.write_text("#partition test\nq\ta\trelated\nb\tc\tunrelated\n")
         given = ("--features", features, "--model", model)
         with np.errstate(over="ignore", invalid="ignore"):
             for argv, message in (
+                    (("eval", *given, "--pairs", pairs), "non-finite distance"),
                     (("recommend", *given, "--query", "q", "--category-file", cands),
                      "non-finite distance"),
                     (("build-outfit", *given, "--query", "q", "--category-files", cands),
@@ -519,6 +532,32 @@ class TestExitCodes:
         assert run("navigate", "--features", data / "features.tsv",
                    "--model", fit / "model.bin", "--source", "ghost",
                    "--target", "i001", "--out", tmp_path / "nav") == 2
+
+
+def test_train_personalized_keeps_its_warm_starts_feature_norm(tmp_path):
+    """A personalized fit of zero iterations from an l2_unit warm start is
+    that warm start with all-ones user weights: same normalization, transform
+    and threshold, so the same test accuracy."""
+    data, root = tmp_path / "data", tmp_path / "run"
+    features = data / "features.tsv"
+    assert run("synth", "--n", 300, "--f", 8, "--k", 2, "--edges", 100,
+               "--mode", "two_population_users", "--seed", 1, "--out", data) == 0
+    assert run("sample", "--features", features, "--edges", data / "edges.tsv",
+               "--triples", data / "triples.tsv", "--seed", 1, "--out", root / "sample") == 0
+    assert run("split", "--features", features, "--pairs", root / "sample" / "pairs.tsv",
+               "--seed", 1, "--out", root / "splits") == 0
+    train = ("--features", features, "--pairs", root / "splits" / "train.pairs")
+    assert run("train", *train, "--feature-norm", "l2_unit", "--rank", 3,
+               "--out", root / "warm") == 0
+    assert run("train-personalized", *train, "--warm-start", root / "warm" / "model.bin",
+               "--max-iter", 0, "--out", root / "personalized") == 0
+    warm = load_model(root / "warm" / "model.bin")
+    model = load_model(root / "personalized" / "model.bin")
+    assert model.kind == "personalized"
+    assert model.feature_norm == warm.feature_norm == "l2_unit"
+    assert np.array_equal(model.transform, warm.transform)
+    assert model.threshold == warm.threshold
+    assert np.all(model.user_weights == 1.0)
 
 
 def test_outputs_leave_no_tmp_files(pipeline, tmp_path):

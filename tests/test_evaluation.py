@@ -38,9 +38,8 @@ def test_counts_add_up_and_accuracy_is_their_ratio():
 def test_decision_is_exactly_distance_below_threshold():
     feats, ps, model = _fixture(seed=1)
     rep = evaluate(model, feats, ps)
-    X = feats.values
     labels = ps.labels
-    d = model_distances(model, X, ps.pairs[:, 0], ps.pairs[:, 1])
+    d = model_distances(model, feats, ps.pairs[:, 0], ps.pairs[:, 1])
     pred = d < model.threshold
     assert rep.tp == int(np.sum(pred & labels))
     assert rep.tn == int(np.sum(~pred & ~labels))
@@ -107,7 +106,7 @@ def test_evaluate_personalized_maps_pair_users_to_model_rows():
     ps = LabeledPairSet(feats.item_ids, [[0, 1], [2, 3]], [True, False], "test",
                         user_ids=["ub", "ua"], users=[0, 1])
     rep = evaluate(model, feats, ps)
-    d_pos = model_distances(model, X, np.array([0]), np.array([1]),
+    d_pos = model_distances(model, feats, np.array([0]), np.array([1]),
                             user_idx=np.array([model.user_index("ub")]))
     want_tp = int(d_pos[0] < model.threshold)
     assert rep.tp == want_tp

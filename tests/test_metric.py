@@ -38,10 +38,15 @@ def _model(kind, transform, c=1.0, **kw):
                        threshold=c, **kw)
 
 
+def _catalog(X):
+    """X as a catalog, one made-up item id per row."""
+    return FeatureMatrix([f"i{z}" for z in range(len(X))], X)
+
+
 def _alone(model, x_i, x_j, user=None):
     """model_distances of the one pair (x_i, x_j), with its user's weights."""
     users = None if user is None else [user]
-    return float(model_distances(model, np.vstack([x_i, x_j]), [0], [1], users)[0])
+    return float(model_distances(model, _catalog(np.vstack([x_i, x_j])), [0], [1], users)[0])
 
 
 def test_lowrank_matches_full_quadratic_form():
@@ -86,7 +91,7 @@ def test_lowrank_equals_embedded_euclidean_exactly():
         S = embed_all(model, feats).values
         i, j = np.triu_indices(n, 1)
         direct = np.einsum("ij,ij->i", S[i] - S[j], S[i] - S[j])
-        assert np.array_equal(model_distances(model, feats.values, i, j), direct)
+        assert np.array_equal(model_distances(model, feats, i, j), direct)
 
 
 def test_symmetry_is_exact():
@@ -395,19 +400,19 @@ class TestModelDistances:
         X = rng.standard_normal((20, 5))
         w = rng.uniform(0, 1, 5)
         m = _model("weighted_nn", w, 1.0)
-        d = model_distances(m, X, np.array([0, 1]), np.array([2, 3]))
+        d = model_distances(m, _catalog(X), np.array([0, 1]), np.array([2, 3]))
         assert d[0] == _alone(m, X[0], X[2])
         assert d[1] == _alone(m, X[1], X[3])
         assert d[0] == pytest.approx(brute_weighted(w, X[0], X[2]), rel=1e-12)
         with pytest.raises(IndexError):
-            model_distances(m, X, np.array([-1]), np.array([0]))
+            model_distances(m, _catalog(X), np.array([-1]), np.array([0]))
 
     def test_low_rank_kind(self):
         rng = np.random.default_rng(14)
         X = rng.standard_normal((20, 5))
         Y = rng.standard_normal((5, 2))
         m = _model("low_rank", Y, 1.0)
-        d = model_distances(m, X, np.array([4]), np.array([9]))
+        d = model_distances(m, _catalog(X), np.array([4]), np.array([9]))
         assert d[0] == _alone(m, X[4], X[9])
         assert d[0] == pytest.approx(brute_full(Y @ Y.T, X[4], X[9]), rel=1e-9)
 
@@ -417,11 +422,22 @@ class TestModelDistances:
         Y = rng.standard_normal((6, 3))
         W = rng.uniform(0, 2, (2, 3))
         m = _model("personalized", Y, 1.0, user_ids=["u0", "u1"], user_weights=W)
-        d = model_distances(m, X, np.array([0, 0]), np.array([1, 1]),
+        d = model_distances(m, _catalog(X), np.array([0, 0]), np.array([1, 1]),
                             user_idx=np.array([0, 1]))
         assert d[0] == _alone(m, X[0], X[1], 0)
         assert d[1] == _alone(m, X[0], X[1], 1)
         assert d[1] == pytest.approx(np.sum(((X[0] - X[1]) @ Y * W[1]) ** 2), rel=1e-12)
+
+    def test_user_index_outside_the_user_table_raises(self):
+        """A user index is checked as a row index is: a negative one does not
+        read the last user's weights, and one past the table raises too."""
+        m = _model("personalized", np.eye(2), 1.0, user_ids=["u0", "u1"],
+                   user_weights=np.array([[1.0, 1.0], [5.0, 5.0]]))
+        X = _catalog(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        assert model_distances(m, X, [0], [1], [1])[0] == 50.0
+        for user in (-1, 2):
+            with pytest.raises(IndexError):
+                model_distances(m, X, [0], [1], [user])
 
     def test_personalized_without_users_falls_back_to_shared_metric(self):
         rng = np.random.default_rng(16)
@@ -429,7 +445,7 @@ class TestModelDistances:
         m = _model("personalized", Y, 1.0,
                    user_ids=["u0"], user_weights=rng.uniform(0, 2, (1, 2)))
         X = rng.standard_normal((5, 4))
-        d = model_distances(m, X, np.array([0]), np.array([1]))
+        d = model_distances(m, _catalog(X), np.array([0]), np.array([1]))
         assert d[0] == _alone(_model("low_rank", Y), X[0], X[1])
 
     @pytest.mark.parametrize("kind, with_users", [("low_rank", False),
@@ -437,8 +453,10 @@ class TestModelDistances:
                                                   ("personalized", False),
                                                   ("personalized", True)])
     def test_reads_only_the_referenced_rows(self, kind, with_users, monkeypatch):
-        """Rows no pair references may hold anything, and the projecting
-        kinds project each referenced row once, not the whole matrix."""
+        """Rows no pair references are never read: they hold 1e300, whose
+        distances would overflow into a DataError. The projecting kinds
+        project each referenced row once per catalog, not the whole matrix,
+        and a repeated call projects nothing."""
         rng = np.random.default_rng(17)
         X = rng.standard_normal((40, 6))
         if kind == "weighted_nn":
@@ -451,7 +469,7 @@ class TestModelDistances:
         j = np.array([12, 20, 3, 3, 25, 0])
         users = np.array([0, 1, 1, 0, 1, 0]) if with_users else None
         touched = np.union1d(i, j)
-        dirty = np.full_like(X, np.nan)
+        dirty = np.full_like(X, 1e300)
         dirty[touched] = X[touched]
         projected = []
 
@@ -460,10 +478,11 @@ class TestModelDistances:
             return project_rows(X, Y, rows, norm)
 
         monkeypatch.setattr("stylemetric.metric.project_rows", counting_project_rows)
-        want = model_distances(m, X, i, j, users)
-        got = model_distances(m, dirty, i, j, users)
-        assert np.all(np.isfinite(got))
+        want = model_distances(m, _catalog(X), i, j, users)
+        catalog = _catalog(dirty)
+        got = model_distances(m, catalog, i, j, users)
         assert np.array_equal(got, want)
+        assert np.array_equal(model_distances(m, catalog, i, j, users), want)
         assert projected == ([] if kind == "weighted_nn" else [len(touched)] * 2)
 
     def test_pairs_over_every_row_give_each_pair_its_distance_alone(self):
@@ -473,9 +492,9 @@ class TestModelDistances:
         X = rng.standard_normal((5, 4))
         m = _model("low_rank", rng.standard_normal((4, 3)), 1.0)
         i, j = np.array([4, 0, 2]), np.array([1, 3, 4])
-        d = model_distances(m, X, i, j)
+        d = model_distances(m, _catalog(X), i, j)
         assert [float(v) for v in d] == [_alone(m, X[a], X[b]) for a, b in zip(i, j)]
         with pytest.raises(IndexError):
-            model_distances(m, X, np.array([0, 1, 2, 3]), np.array([1, 2, 3, 5]))
+            model_distances(m, _catalog(X), np.array([0, 1, 2, 3]), np.array([1, 2, 3, 5]))
         with pytest.raises(IndexError):
-            model_distances(m, X, np.array([-1]), np.array([0]))
+            model_distances(m, _catalog(X), np.array([-1]), np.array([0]))

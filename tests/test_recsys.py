@@ -3,6 +3,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def test_rank_candidates_orders_by_distance():
     # probabilities are the sigmoid of threshold minus distance
     for item, d, p in ranked:
         q = feats.index_of("i000")
-        want = model_distances(model, feats.values, [q], [feats.index_of(item)])[0]
+        want = model_distances(model, feats, [q], [feats.index_of(item)])[0]
         assert d == pytest.approx(want, rel=1e-12)
         assert p == pytest.approx(float(link_probability(d, model.threshold)),
                                   rel=1e-12)
@@ -123,8 +124,8 @@ def test_l2_unit_model_matches_normalizing_the_whole_catalog(kind):
     ps = LabeledPairSet(feats.item_ids, pairs, [True] * 50 + [False] * 50, "test", **users)
     assert evaluate(l2, feats, ps) == evaluate(raw, unit, ps)
     i, j = ps.pairs.T
-    assert np.array_equal(model_distances(l2, X, i, j, ps.users),
-                          model_distances(raw, unit.values, i, j, ps.users))
+    assert np.array_equal(model_distances(l2, feats, i, j, ps.users),
+                          model_distances(raw, unit, i, j, ps.users))
     if kind != "weighted_nn":
         assert np.array_equal(embed_all(l2, feats).values, embed_all(raw, unit).values)
 
@@ -272,6 +273,79 @@ def test_answers_from_a_warm_cache_match_a_cold_catalog(n, f, k, seed, queries):
         query = (kind, ids[q], members)
         got = _ask(models[which], warm, query)
         assert repr(got) == repr(_ask(models[which], FeatureMatrix(ids, X), query))
+
+
+_OPERATIONS = st.lists(st.tuples(st.sampled_from(("evaluate", "rank", "direct")),
+                                  st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                                                     st.booleans()),
+                                           min_size=1, max_size=8)),
+                        min_size=1, max_size=8)
+
+
+@given(kind=st.sampled_from(("low_rank", "weighted_nn", "personalized")),
+       norm=st.sampled_from(("none", "l2_unit")), n=st.integers(2, 12),
+       f=st.integers(1, 4), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       operations=_OPERATIONS, swap=st.integers(0, 8))
+def test_evaluate_and_queries_share_one_style_table(kind, norm, n, f, k, seed,
+                                                    operations, swap):
+    """evaluate, rank_candidates and direct model_distances calls on one
+    catalog, in any order and with the transform swapped partway through,
+    give the distances of pair_distances_style over all rows projected at
+    once, and project each row at most once per transform. The operations
+    run twice, and the swap comes no later than the start of the second run,
+    so rows filled under the first transform are asked for again under the
+    second."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, (n, f)).astype(np.float64)
+    ids = [f"i{z:02d}" for z in range(n)]
+    first = _kind_model(kind, rng, f, k, norm)
+    second = MetricModel(kind, first.transform * 2.0, first.threshold, first.user_ids,
+                         first.user_weights, first.metadata)
+    feats = FeatureMatrix(ids, X)
+    projected = {id(first.transform): [], id(second.transform): []}
+    project = metric.project_rows
+
+    def counting(X, Y, rows=None, norm="none"):
+        projected[id(Y)].append(rows)
+        return project(X, Y, rows, norm)
+
+    def want(model, i, j, users=None):
+        S = (normalize_rows(X, norm) if kind == "weighted_nn"
+             else project(X, model.transform, norm=norm))
+        w = model.transform if kind == "weighted_nn" else None
+        if users is not None:
+            w = model.user_weights[users]
+        return metric.pair_distances_style(S, np.asarray(i), np.asarray(j), w)
+
+    with mock.patch.object(metric, "project_rows", counting):
+        for step, (operation, pairs) in enumerate(operations * 2):
+            model = first if step < min(swap, len(operations)) else second
+            i, j, labels = (np.array(column) for column in zip(*pairs))
+            i, j = i % n, j % n
+            users = np.zeros(len(i), dtype=np.int64) if kind == "personalized" else None
+            if operation == "direct":
+                got = model_distances(model, feats, i, j, users)
+                assert np.array_equal(got, want(model, i, j, users))
+            elif operation == "evaluate":
+                arrays = (i, j, labels) if users is None else (i, j, labels, users)
+                report = evaluate(model, feats, arrays)
+                pred = want(model, i, j, users) < model.threshold
+                assert (report.tp, report.fp) == (int(np.sum(pred & labels)),
+                                                  int(np.sum(pred & ~labels)))
+                assert (report.tn, report.fn) == (int(np.sum(~pred & ~labels)),
+                                                  int(np.sum(~pred & labels)))
+            else:
+                query = int(i[0])
+                members = sorted(set(j.tolist()) - {query}) or [(query + 1) % n]
+                ranked = rank_candidates(model, feats, ids[query], [ids[m] for m in members])
+                d = want(model, np.full(len(members), query), members)
+                assert sorted(dist for _, dist, _ in ranked) == sorted(d.tolist())
+                assert all(dist == d[members.index(ids.index(item))]
+                           for item, dist, _ in ranked)
+    for calls in projected.values():
+        rows = np.concatenate(calls) if calls else np.array([], dtype=np.int64)
+        assert len(np.unique(rows)) == len(rows)
+        assert kind != "weighted_nn" or not calls
 
 
 def test_a_query_projects_only_the_rows_not_yet_projected(monkeypatch):

@@ -7,6 +7,7 @@ model kind, coordinate by coordinate.
 
 import io
 from collections import deque
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -318,6 +319,19 @@ class TestTrainPersonalized:
         base = log_likelihood(warm, feats, ps)
         model, report = train_personalized(cfg, feats, ps, warm)
         assert report.trace[-1] >= base - 1e-9
+
+    def test_a_warm_start_of_another_feature_norm_is_a_data_error(self):
+        """A warm start trained under another normalization would be applied
+        to rows it was not fitted on; train refuses it, and
+        train_personalized takes the warm start's normalization instead."""
+        feats, ps = _user_pairs(seed=20)
+        cfg = TrainConfig(kind="low_rank", rank=3, max_iterations=5, seed=0,
+                          feature_norm="l2_unit")
+        warm, _ = train(cfg, feats, ps)
+        with pytest.raises(DataError, match="feature norm"):
+            train(replace(cfg, feature_norm="none"), feats, ps, warm_start=warm)
+        model, _ = train_personalized(replace(cfg, feature_norm="none"), feats, ps, warm)
+        assert model.feature_norm == "l2_unit"
 
     def test_requires_user_annotations(self):
         feats, ps = _toy_pairs(seed=17)
