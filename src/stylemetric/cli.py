@@ -416,10 +416,10 @@ def _add_common(parser, out_required=True):
         parser.add_argument("--out", default=None, help="optional output directory")
 
 
-def _add_train_flags(parser, from_scratch):
+def _add_train_flags(parser, warm_started):
     # A warm-started fit takes its rank, normalization and starting point
     # from the warm start, so it has no flags for them.
-    if from_scratch:
+    if not warm_started:
         parser.add_argument("--rank", type=_positive_int, default=None)
         parser.add_argument("--init-scale", dest="init_scale", type=float, default=None)
         parser.add_argument("--feature-norm", dest="feature_norm",
@@ -468,7 +468,7 @@ def _build_parser() -> _Parser:
     _add_input(p, "--features", required=True)
     _add_input(p, "--pairs", required=True)
     p.add_argument("--kind", choices=("low_rank", "weighted_nn"), default=None)
-    _add_train_flags(p, from_scratch=True)
+    _add_train_flags(p, warm_started=False)
     _add_common(p)
     p.set_defaults(func=_cmd_train)
 
@@ -479,7 +479,7 @@ def _build_parser() -> _Parser:
     _add_input(p, "--warm-start", dest="warm_start", required=True)
     p.add_argument("--freeze-user-weights", dest="freeze_user_weights",
                    action="store_true")
-    _add_train_flags(p, from_scratch=False)
+    _add_train_flags(p, warm_started=True)
     _add_common(p)
     p.set_defaults(func=_cmd_train_personalized)
 
